@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import snapshot as snapshot_format
-from .config import parse_kv_text, apply_overrides, build_run_config, parse_scenario_config
+from .config import parse_run_config, parse_scenario_config
 from .encoder import active_pixel_stats
 from .errors import ConfigError, ContractError, SnapshotError
 from .grid import SNAPSHOT_KIND as GRID_KIND, SNAPSHOT_VERSION as GRID_VERSION
@@ -23,8 +23,7 @@ from .scenario import generate
 
 def _load_run_config(path: str, overrides):
     with open(path, "r", encoding="utf-8") as fh:
-        raw = parse_kv_text(fh.read())
-    return build_run_config(apply_overrides(raw, overrides))
+        return parse_run_config(fh.read(), overrides)
 
 
 def cmd_run(args) -> int:
@@ -39,18 +38,11 @@ def cmd_run(args) -> int:
 
 def cmd_generate(args) -> int:
     with open(args.scenario, "r", encoding="utf-8") as fh:
-        raw = parse_kv_text(fh.read())
-    scenario = parse_scenario_config_from_raw(raw, args.set)
+        scenario = parse_scenario_config(fh.read(), args.set)
     frames = generate(scenario)
     write_mask_sequence(args.out, frames)
     print(f"wrote {len(frames)} frames x {scenario.class_count} classes to {args.out}")
     return 0
-
-
-def parse_scenario_config_from_raw(raw, overrides):
-    merged = apply_overrides(raw, overrides)
-    text = "\n".join(f"{k} = {v}" for k, v in merged.items())
-    return parse_scenario_config(text)
 
 
 def cmd_snapshot_info(args) -> int:

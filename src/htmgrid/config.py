@@ -171,8 +171,8 @@ def _field_parser(kinds: dict, prefix: str):
     return parse_fields
 
 
-def parse_scenario_config(text: str) -> Scenario:
-    reader = _Reader(parse_kv_text(text))
+def parse_scenario_config(text: str, overrides=None) -> Scenario:
+    reader = _Reader(apply_overrides(parse_kv_text(text), overrides))
     frame_size = reader.take("scenario.frame_size", _parse_size, required=True)
     frame_count = reader.take("scenario.frame_count", int, required=True)
     class_count = reader.take("scenario.class_count", int, default=1)
@@ -280,8 +280,6 @@ def _collect_cell_overrides(reader: _Reader, default_sp: SpParams,
         if tm_fields:
             tm_fields.setdefault("seed", tm_seed)
             tm = replace(default_tm, **tm_fields)
-            if "column_count" not in tm_fields and sp is not None:
-                tm = replace(tm, column_count=sp.column_count)
         if sp is not None or tm is not None:
             overrides[coord] = CellOverride(sp=sp, tm=tm)
     return overrides

@@ -11,15 +11,13 @@ can never change what counts as normal elsewhere.  Per cell and frame:
 4. optionally zero the reported score on the frame a cell turns from
    empty to occupied, which is unpredictable by construction.
 
-Cells are independent within a frame and may execute in parallel; results
-are assembled by coordinate, so parallel runs are bit-identical to
-sequential ones.
+Cells share no state, so one cell's input never changes another cell's
+scores.  They run one after another in a fixed row-major order.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -130,7 +128,7 @@ class FrameResult:
 
 
 class CellUnit:
-    __slots__ = ("sp", "tm", "history", "prev_empty", "last_tm_input")
+    __slots__ = ("sp", "tm", "history", "prev_empty")
 
     def __init__(self, sp: SpatialPooler, tm: TemporalMemory, multistep_n: int,
                  class_count: int):
@@ -139,15 +137,12 @@ class CellUnit:
         width = sp.params.column_count
         self.history: list[Sdr] = [Sdr(width) for _ in range(multistep_n)]
         self.prev_empty = [False] * class_count
-        self.last_tm_input: Sdr | None = None
 
     def step(self, cell_input: CellInput, learn: bool) -> tuple[float, int, bool]:
         sp_out = self.sp.compute(concatenate(cell_input.per_class), learn)
         self.history.pop(0)
         self.history.append(sp_out)
-        tm_in = concatenate(self.history)
-        self.last_tm_input = tm_in
-        result = self.tm.compute(tm_in, learn)
+        result = self.tm.compute(concatenate(self.history), learn)
         entered = any(
             prev and not cur
             for prev, cur in zip(self.prev_empty, cell_input.was_empty)
@@ -206,34 +201,27 @@ class GridModel:
         return self.units[r][c]
 
     def step(self, planes, learn: bool = True, workers: int = 1) -> FrameResult:
-        """Process one frame.  ``workers`` > 1 runs cells on a thread pool."""
+        """Process one frame, one cell after another.
+
+        ``workers`` is accepted for compatibility and does not change how
+        cells run.
+        """
         encoded = encode_frame(self.config.encoder, planes)
         grows, gcols = self.grid_shape
-        flat = [
-            (self.units[r][c], encoded[r][c])
-            for r in range(grows)
-            for c in range(gcols)
-        ]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outputs = list(
-                    pool.map(lambda pair: pair[0].step(pair[1], learn), flat)
-                )
-        else:
-            outputs = [unit.step(cell_input, learn) for unit, cell_input in flat]
-
         raw = np.zeros(self.grid_shape, dtype=np.float64)
         certainty = np.zeros(self.grid_shape, dtype=np.int64)
         reported = np.zeros(self.grid_shape, dtype=np.float64)
-        for (r, c), (score, predictions, entered) in zip(
-            ((r, c) for r in range(grows) for c in range(gcols)), outputs
-        ):
-            raw[r, c] = score
-            certainty[r, c] = predictions
-            if self.config.suppression_enabled and entered:
-                reported[r, c] = 0.0
-            else:
-                reported[r, c] = score
+        for r in range(grows):
+            for c in range(gcols):
+                score, predictions, entered = self.units[r][c].step(
+                    encoded[r][c], learn
+                )
+                raw[r, c] = score
+                certainty[r, c] = predictions
+                if self.config.suppression_enabled and entered:
+                    reported[r, c] = 0.0
+                else:
+                    reported[r, c] = score
 
         agg = aggregate(self.config.aggregation, reported.reshape(-1))
         self._agg_history.append(agg)
@@ -248,9 +236,6 @@ class GridModel:
         )
         self.frame_counter += 1
         return result
-
-    def run(self, frames, learn: bool = True, workers: int = 1) -> list[FrameResult]:
-        return [self.step(planes, learn=learn, workers=workers) for planes in frames]
 
     # --- serialization ----------------------------------------------------
 
@@ -297,7 +282,6 @@ class GridModel:
                     Sdr(width, active) for active in unit_state["history"]
                 ]
                 unit.prev_empty = list(unit_state["prev_empty"])
-                unit.last_tm_input = None
                 row.append(unit)
             self.units.append(row)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .config import RunConfig, parse_scenario_config
 from .errors import ConfigError
@@ -57,7 +57,7 @@ def _csv_row(run_config: RunConfig, result) -> str:
     parts = [str(result.frame_index), repr(result.aggregate),
              repr(result.aggregate_smoothed)]
     if run_config.per_cell:
-        parts.extend(repr(v) for v in result.reported_scores.reshape(-1))
+        parts.extend(repr(float(v)) for v in result.reported_scores.reshape(-1))
     return ",".join(parts)
 
 
@@ -67,11 +67,14 @@ def run(run_config: RunConfig) -> RunSummary:
     Frames below ``calibration_frames`` update the model (always with
     learning on) but produce no score rows or heatmaps.
     """
-    frames = open_stream(run_config)
     if run_config.resume:
         model = GridModel.load(run_config.resume)
     else:
         model = GridModel(run_config.grid)
+    # A resumed model keeps its own grid: the input check, the CSV columns
+    # and the heatmap geometry all follow the model, not the config file.
+    run_config = replace(run_config, grid=model.config)
+    frames = open_stream(run_config)
 
     csv_handle = None
     if run_config.scores_csv:

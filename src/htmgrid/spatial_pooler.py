@@ -15,12 +15,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .sdr import Sdr
-from . import snapshot
 
 __all__ = ["SpParams", "SpatialPooler"]
-
-SNAPSHOT_KIND = "spatial-pooler"
-SNAPSHOT_VERSION = 1
 
 _DUTY_WINDOW = 1000  # duty cycle averaging horizon when boosting is enabled
 
@@ -163,13 +159,3 @@ class SpatialPooler:
         self.permanences = np.asarray(state["permanences"], dtype=np.float64)
         self.step_count = int(state["step_count"])
         self.duty_cycles = np.asarray(state["duty_cycles"], dtype=np.float64)
-
-    def to_bytes(self) -> bytes:
-        return snapshot.pack(SNAPSHOT_KIND, SNAPSHOT_VERSION, self.state_dict())
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SpatialPooler":
-        state = snapshot.unpack(data, SNAPSHOT_KIND, SNAPSHOT_VERSION)
-        sp = cls.__new__(cls)
-        sp.load_state_dict(state)
-        return sp

@@ -19,12 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .sdr import Sdr
-from . import snapshot
 
 __all__ = ["TmParams", "TmStepResult", "TemporalMemory"]
-
-SNAPSHOT_KIND = "temporal-memory"
-SNAPSHOT_VERSION = 1
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -441,13 +437,3 @@ class TemporalMemory:
         self.potential_counts = {
             int(k): int(v) for k, v in state["potential_counts"].items()
         }
-
-    def to_bytes(self) -> bytes:
-        return snapshot.pack(SNAPSHOT_KIND, SNAPSHOT_VERSION, self.state_dict())
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "TemporalMemory":
-        state = snapshot.unpack(data, SNAPSHOT_KIND, SNAPSHOT_VERSION)
-        tm = cls.__new__(cls)
-        tm.load_state_dict(state)
-        return tm

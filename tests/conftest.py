@@ -23,6 +23,30 @@ def results_equal(a, b) -> bool:
     )
 
 
+def states_equal(a, b) -> bool:
+    """Deep equality of two ``state_dict()`` trees; arrays must match in dtype too."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (
+            isinstance(a, np.ndarray)
+            and isinstance(b, np.ndarray)
+            and a.dtype == b.dtype
+            and np.array_equal(a, b)
+        )
+    if isinstance(a, dict):
+        return (
+            isinstance(b, dict)
+            and a.keys() == b.keys()
+            and all(states_equal(a[k], b[k]) for k in a)
+        )
+    if isinstance(a, (list, tuple)):
+        return (
+            type(a) is type(b)
+            and len(a) == len(b)
+            and all(states_equal(x, y) for x, y in zip(a, b))
+        )
+    return type(a) is type(b) and a == b
+
+
 def loop_object(velocity=(0, 3), start=(15, 0), shape=(6, 6)):
     return ObjectTrack(shape=shape, path=LinearLoop(start=start, velocity=velocity))
 

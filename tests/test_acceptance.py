@@ -23,6 +23,7 @@ from htmgrid import (
     aggregate_mean,
     aggregate_nonzero_mean,
     build_grid_config,
+    concatenate,
     encode_frame,
     generate,
     moving_average,
@@ -347,7 +348,7 @@ def test_criterion_08_determinism_and_parallel_equivalence(tmp_path):
         [
             (csv_identical, "two runs give byte-identical CSV"),
             (ppm_identical, f"{len(heat_names)} heatmap frames byte-identical"),
-            (parallel_equal, "parallel cells == sequential, bit for bit"),
+            (parallel_equal, "workers=4 == workers=1, bit for bit"),
         ],
     )
 
@@ -408,8 +409,8 @@ def test_criterion_11_temporal_noise_dilution():
     worst = 0.0
     for r in range(3):
         for c in range(3):
-            a = set(ma.unit(r, c).last_tm_input.active.tolist())
-            b = set(mb.unit(r, c).last_tm_input.active.tolist())
+            a = set(concatenate(ma.unit(r, c).history).active.tolist())
+            b = set(concatenate(mb.unit(r, c).history).active.tolist())
             prefix_ok &= {x for x in a if x < boundary} == {
                 x for x in b if x < boundary
             }

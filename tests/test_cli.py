@@ -4,7 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from htmgrid import GridModel
 from htmgrid.cli import main
+from htmgrid.config import parse_run_config
+from htmgrid.imageio import read_mask_sequence, read_ppm
 
 SCENARIO = """
 scenario.frame_size = 36x36
@@ -115,6 +118,36 @@ def test_resume_from_snapshot(tmp_path, stream_dir):
     assert len(rows) == 81
 
 
+def test_per_cell_csv_fields_are_the_reported_scores(tmp_path, stream_dir):
+    text = run_config_text(stream_dir, tmp_path / "p")
+    config = write(tmp_path / "p.cfg", text)
+    assert main(["run", config]) == 0
+    rows = (tmp_path / "p.csv").read_text().splitlines()[1:]
+    model = GridModel(parse_run_config(text).grid)
+    for row, planes in zip(rows, read_mask_sequence(stream_dir), strict=True):
+        fields = [float(v) for v in row.split(",")]
+        result = model.step(planes)
+        assert fields[0] == result.frame_index
+        assert fields[1:3] == [result.aggregate, result.aggregate_smoothed]
+        assert fields[3:] == result.reported_scores.reshape(-1).tolist()
+
+
+def test_resume_follows_the_snapshot_geometry(tmp_path, stream_dir):
+    first = write(tmp_path / "g1.cfg", run_config_text(stream_dir, tmp_path / "g1"))
+    assert main(["run", first]) == 0  # 12x12 cells: a 3x3 grid
+    resumed = write(
+        tmp_path / "g2.cfg",
+        run_config_text(stream_dir, tmp_path / "g2")
+        + f"resume = {tmp_path / 'g1.snap'}\nencoder.cell_size = 6x6\n",
+    )
+    assert main(["run", resumed]) == 0
+    lines = (tmp_path / "g2.csv").read_text().splitlines()
+    assert len(lines[0].split(",")) == 3 + 9
+    assert all(len(line.split(",")) == 3 + 9 for line in lines[1:])
+    image = read_ppm(tmp_path / "g2_heat" / "00000080.ppm")
+    assert image.shape == (36, 36, 3)
+
+
 def test_snapshot_info(tmp_path, stream_dir, capsys):
     config = write(tmp_path / "i.cfg", run_config_text(stream_dir, tmp_path / "i"))
     assert main(["run", config]) == 0
@@ -220,8 +253,6 @@ def test_csv_aggregate_rises_during_repeat(tmp_path):
 
 
 def test_heatmap_frames_match_reported_scores(tmp_path, stream_dir):
-    from htmgrid.imageio import read_ppm
-
     config = write(tmp_path / "h.cfg", run_config_text(stream_dir, tmp_path / "h"))
     assert main(["run", config]) == 0
     image = read_ppm(tmp_path / "h_heat" / "00000000.ppm")

@@ -190,6 +190,17 @@ def test_scenario_config_parses_fully():
     assert scenario.noise.pixel_flip_probability == 0.01
 
 
+def test_scenario_overrides_take_precedence():
+    scenario = parse_scenario_config(
+        SCENARIO_TEXT, ["scenario.seed=5", "object.2.shape=3x3",
+                        "object.2.path=stationary", "object.2.position=1,1"]
+    )
+    assert scenario.seed == 5
+    assert scenario.objects[2].path == Stationary(position=(1, 1))
+    with pytest.raises(ConfigError):
+        parse_scenario_config(SCENARIO_TEXT, ["scenario.seed"])
+
+
 def test_scenario_bad_path_kind():
     with pytest.raises(ConfigError):
         parse_scenario_config(

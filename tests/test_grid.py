@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from htmgrid import (
     SnapshotError,
     SpParams,
     build_grid_config,
+    concatenate,
     encode_frame,
     generate,
 )
+from htmgrid.grid import CellUnit
 from tests.conftest import loop_scenario, results_equal
 
 
@@ -153,7 +157,7 @@ def test_multistep_history_distinguishes_halting(small_grid_config):
     diffs = 0
     for r in range(3):
         for c in range(3):
-            if ma.unit(r, c).last_tm_input != mb.unit(r, c).last_tm_input:
+            if concatenate(ma.unit(r, c).history) != concatenate(mb.unit(r, c).history):
                 diffs += 1
     assert diffs > 0
 
@@ -173,8 +177,8 @@ def test_single_frame_dropout_dilution(small_grid_config):
     boundary = sp_columns * (n - 1)
     for r in range(3):
         for c in range(3):
-            a = set(ma.unit(r, c).last_tm_input.active.tolist())
-            b = set(mb.unit(r, c).last_tm_input.active.tolist())
+            a = set(concatenate(ma.unit(r, c).history).active.tolist())
+            b = set(concatenate(mb.unit(r, c).history).active.tolist())
             # history blocks before the affected step are untouched
             assert {x for x in a if x < boundary} == {x for x in b if x < boundary}
             if a:
@@ -183,13 +187,28 @@ def test_single_frame_dropout_dilution(small_grid_config):
                 assert len(b - a) <= len(b) / n
 
 
-def test_parallel_matches_sequential(small_grid_config):
+def test_parallel_matches_sequential(small_grid_config, monkeypatch):
+    # workers > 1 starts no thread: every cell steps on the calling thread.
+    seen = []
+    cell_step = CellUnit.step
+
+    def recording_step(unit, cell_input, learn):
+        seen.append((threading.current_thread(), threading.active_count()))
+        return cell_step(unit, cell_input, learn)
+
+    monkeypatch.setattr(CellUnit, "step", recording_step)
     frames = generate(loop_scenario(60))
     seq, par = GridModel(small_grid_config), GridModel(small_grid_config)
+    before = threading.active_count()
     for planes in frames:
         assert results_equal(
             seq.step(planes, workers=1), par.step(planes, workers=4)
         )
+    assert len(seen) == 2 * 9 * len(frames)
+    assert all(
+        thread is threading.current_thread() and count == before
+        for thread, count in seen
+    )
 
 
 def test_snapshot_restore_replays_identically(warmed_loop_model):

@@ -53,14 +53,3 @@ def test_pack_is_deterministic():
     payload = {"a": np.arange(10), "b": "text"}
     assert snapshot.pack("thing", 1, payload) == snapshot.pack("thing", 1, payload)
 
-
-def test_component_snapshots_reject_each_other():
-    from htmgrid import Sdr, SpParams, SpatialPooler, TemporalMemory, TmParams
-
-    sp = SpatialPooler(SpParams(input_width=16, column_count=8, active_columns=2))
-    tm = TemporalMemory(TmParams(column_count=8, activation_threshold=2, min_threshold=1))
-    tm.compute(Sdr(8, [0, 1]), learn=True)
-    with pytest.raises(SnapshotError):
-        SpatialPooler.from_bytes(tm.to_bytes())
-    with pytest.raises(SnapshotError):
-        TemporalMemory.from_bytes(sp.to_bytes())
