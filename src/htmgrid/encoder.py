@@ -99,7 +99,8 @@ def empty_pattern(config: EncoderConfig, class_index: int) -> Sdr:
     return _empty_pattern_cached(config.seed, class_index, bits, k)
 
 
-def _check_planes(config: EncoderConfig, planes) -> list[np.ndarray]:
+def check_planes(config: EncoderConfig, planes) -> list[np.ndarray]:
+    """One frame's class planes as arrays; ContractError on a wrong count or size."""
     if len(planes) != config.class_count:
         raise ContractError(
             f"expected {config.class_count} class planes, got {len(planes)}"
@@ -118,7 +119,7 @@ def _check_planes(config: EncoderConfig, planes) -> list[np.ndarray]:
 def encode_frame(config: EncoderConfig, planes) -> list[list[CellInput]]:
     """Encode one frame into a grid of per-cell, per-class SDRs."""
     config.validate()
-    arrs = _check_planes(config, planes)
+    arrs = check_planes(config, planes)
     cr, cc = config.cell_size
     grows, gcols = config.grid_shape
     patterns = [empty_pattern(config, k) for k in range(config.class_count)]
@@ -158,7 +159,7 @@ def active_pixel_stats(config: EncoderConfig, frames, cell_coord) -> tuple[float
     cr, cc = config.cell_size
     counts = []
     for planes in frames:
-        arrs = _check_planes(config, planes)
+        arrs = check_planes(config, planes)
         total = 0
         for arr in arrs:
             window = arr[gr * cr : (gr + 1) * cr, gc * cc : (gc + 1) * cc]

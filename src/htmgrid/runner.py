@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, replace
 
 from .config import RunConfig, parse_scenario_config
+from .encoder import check_planes
 from .errors import ConfigError
 from .grid import GridModel
 from .imageio import FRAME_NAME, heatmap_image, read_mask_sequence, write_ppm
@@ -74,7 +76,13 @@ def run(run_config: RunConfig) -> RunSummary:
     # A resumed model keeps its own grid: the input check, the CSV columns
     # and the heatmap geometry all follow the model, not the config file.
     run_config = replace(run_config, grid=model.config)
-    frames = open_stream(run_config)
+    frames = iter(open_stream(run_config))
+    # A stream that does not fit the model fails on its first frame, before
+    # any output is opened.
+    first = next(frames, None)
+    if first is not None:
+        check_planes(run_config.grid.encoder, first)
+        frames = itertools.chain([first], frames)
 
     csv_handle = None
     if run_config.scores_csv:

@@ -154,8 +154,10 @@ class SpatialPooler:
         }
 
     def load_state_dict(self, state: dict) -> None:
+        # Copy what learning mutates; pools never change.  Copies of asarray
+        # views keep numpy's own dtype objects, which snapshot bytes share.
         self.params = SpParams(**state["params"])
         self.pools = np.asarray(state["pools"], dtype=np.int64)
-        self.permanences = np.asarray(state["permanences"], dtype=np.float64)
+        self.permanences = np.asarray(state["permanences"], dtype=np.float64).copy()
         self.step_count = int(state["step_count"])
-        self.duty_cycles = np.asarray(state["duty_cycles"], dtype=np.float64)
+        self.duty_cycles = np.asarray(state["duty_cycles"], dtype=np.float64).copy()

@@ -9,6 +9,18 @@ while old ones decay slowly.
 
 All tie-breaking is deterministic (ascending ids) and all sampling comes
 from the seeded generator, so identical inputs replay to identical state.
+
+Segments live in one struct-of-arrays store.  Row ``r`` of the padded
+``(capacity, max_synapses_per_segment)`` arrays ``presyn``, ``perm`` and
+``last_reinforced`` holds a segment's synapses in its first ``seg_lens[r]``
+entries; past them ``presyn`` is -1, the always-false last entry of a cell
+lookup table, so activity is one gather and two row counts.  Per row the
+store also keeps the segment id, owner cell, ``last_used`` step and
+potential count; ``cell_segment_counts`` counts segments per cell.  Between
+steps rows ``[0, segment_count)`` are the live segments in ascending id
+order and later rows are padding.  Within a step a destroyed row is only
+marked (owner -1) and new rows are appended, so rows held by the step stay
+valid; marked rows are dropped after learning.  A full store doubles.
 """
 
 from __future__ import annotations
@@ -23,6 +35,12 @@ from .sdr import Sdr
 __all__ = ["TmParams", "TmStepResult", "TemporalMemory"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+# Per-row arrays of the segment store, and the step state carried between steps.
+_STORE = ("presyn", "perm", "last_reinforced", "seg_ids", "seg_cells", "seg_lens",
+          "seg_last_used", "seg_potential")
+_STEP = ("active_cells", "winner_cells", "predictive_cells", "active_segments",
+         "matching_segments")
 
 
 @dataclass(frozen=True)
@@ -89,17 +107,6 @@ class TmStepResult:
     active_column_count: int
 
 
-class _Segment:
-    __slots__ = ("cell", "presyn", "perm", "last_reinforced", "last_used")
-
-    def __init__(self, cell: int, step: int):
-        self.cell = cell
-        self.presyn = _EMPTY
-        self.perm = np.empty(0, dtype=np.float64)
-        self.last_reinforced = _EMPTY
-        self.last_used = step
-
-
 class TemporalMemory:
     """Single-writer sequence learner; one instance per grid cell."""
 
@@ -107,17 +114,13 @@ class TemporalMemory:
         params.validate()
         self.params = params
         self.total_cells = params.column_count * params.cells_per_column
-        self.segments: dict[int, _Segment] = {}
-        self.cell_segments: dict[int, list[int]] = {}
+        self._new_store(0)
+        self.cell_segment_counts = np.zeros(self.total_cells, dtype=np.int64)
         self.next_segment_id = 0
         self.rng = np.random.default_rng(params.seed)
         self.step_count = 0
-        self.active_cells = _EMPTY
-        self.winner_cells = _EMPTY
-        self.predictive_cells = _EMPTY
-        self.active_segments = _EMPTY
-        self.matching_segments = _EMPTY
-        self.potential_counts: dict[int, int] = {}
+        for name in _STEP:
+            setattr(self, name, _EMPTY)
 
     # --- stepping ---------------------------------------------------------
 
@@ -132,92 +135,63 @@ class TemporalMemory:
         active_cols = active_columns.active
 
         predicted_lut = np.zeros(p.column_count, dtype=bool)
-        if self.predictive_cells.size:
-            predicted_lut[self.predictive_cells // cpc] = True
+        predicted_lut[self.predictive_cells // cpc] = True
         active_col_lut = np.zeros(p.column_count, dtype=bool)
         active_col_lut[active_cols] = True
-        col_predicted = predicted_lut[active_cols] if active_cols.size else np.empty(
-            0, dtype=bool
-        )
-        bursting_cols = active_cols[~col_predicted]
+        bursting_cols = active_cols[~predicted_lut[active_cols]]
 
         anomaly = bursting_cols.size / active_cols.size if active_cols.size else 0.0
 
-        if self.predictive_cells.size and active_cols.size:
-            correct_predicted = self.predictive_cells[
-                active_col_lut[self.predictive_cells // cpc]
-            ]
-        else:
-            correct_predicted = _EMPTY
-
-        prev_active_lut = np.zeros(self.total_cells, dtype=bool)
-        prev_active_lut[self.active_cells] = True
+        correct_predicted = self.predictive_cells[
+            active_col_lut[self.predictive_cells // cpc]
+        ]
+        prev_active_lut = self._cell_lut(self.active_cells)
         prev_winners = self.winner_cells
 
-        # Segments that fired last step, grouped by the owner's column.  The
-        # ones in active columns get reinforced; the rest mispredicted and
-        # get punished below.
-        active_segs_by_col: dict[int, list[int]] = {}
-        for sid in self.active_segments.tolist():
-            seg = self.segments.get(sid)
-            if seg is not None:
-                active_segs_by_col.setdefault(seg.cell // cpc, []).append(sid)
-        matching_by_col: dict[int, list[int]] = {}
-        for sid in self.matching_segments.tolist():
-            seg = self.segments.get(sid)
-            if seg is not None:
-                matching_by_col.setdefault(seg.cell // cpc, []).append(sid)
+        # Segments that fired last step, and those that matched it, as rows
+        # in id order.  Fired ones in active columns get reinforced; the rest
+        # mispredicted and get punished below.
+        fired = self._rows(self.active_segments)
+        fired_cols = self.seg_cells[fired] // cpc
+        punished = fired[~active_col_lut[fired_cols]]
+        matching = self._rows(self.matching_segments)
+        matching_cols = self.seg_cells[matching] // cpc
 
         burst_winners: list[int] = []
         for col in active_cols.tolist():
             if predicted_lut[col]:
                 if learn:
-                    for sid in active_segs_by_col.get(col, ()):
-                        seg = self.segments.get(sid)
-                        if seg is None:
-                            continue
-                        if self._adapt(sid, seg, prev_active_lut):
-                            grow = p.new_synapse_count - self.potential_counts.get(
-                                sid, 0
-                            )
-                            self._grow(seg, prev_winners, grow)
+                    for row in fired[fired_cols == col].tolist():
+                        self._adapt(row, prev_active_lut, prev_winners)
                 continue
-            # Bursting column: the best matching segment names the winner,
-            # otherwise the least used cell starts a fresh segment.
-            best_sid = None
-            best_pot = -1
-            for sid in matching_by_col.get(col, ()):
-                pot = self.potential_counts.get(sid, 0)
-                if pot > best_pot:
-                    best_pot = pot
-                    best_sid = sid
-            if best_sid is not None:
-                seg = self.segments[best_sid]
-                burst_winners.append(seg.cell)
-                if learn and self._adapt(best_sid, seg, prev_active_lut):
-                    self._grow(seg, prev_winners, p.new_synapse_count - best_pot)
+            # Bursting column: the best matching segment (lowest id on ties)
+            # names the winner, otherwise the least used cell starts a fresh
+            # segment.
+            candidates = matching[matching_cols == col]
+            if candidates.size:
+                row = int(candidates[np.argmax(self.seg_potential[candidates])])
+                burst_winners.append(int(self.seg_cells[row]))
+                if learn:
+                    self._adapt(row, prev_active_lut, prev_winners)
             else:
-                winner = self._least_used_cell(col)
+                # The least used cell: fewest segments, lowest index on ties.
+                counts = self.cell_segment_counts[col * cpc : (col + 1) * cpc]
+                winner = col * cpc + int(np.argmin(counts))
                 burst_winners.append(winner)
                 if learn and prev_winners.size:
-                    seg = self._create_segment(winner)
-                    self._grow(seg, prev_winners, p.new_synapse_count)
+                    row = self._create_segment(winner)
+                    self._grow(row, prev_winners, p.new_synapse_count)
 
         if learn and p.predicted_decrement > 0.0:
-            for col, sids in active_segs_by_col.items():
-                if active_col_lut[col]:
-                    continue
-                for sid in sids:
-                    seg = self.segments.get(sid)
-                    if seg is not None:
-                        self._punish(sid, seg, prev_active_lut)
+            for row in punished.tolist():
+                n = self.seg_lens[row]
+                active = prev_active_lut[self.presyn[row, :n]]
+                delta = np.where(active, p.predicted_decrement, 0.0)
+                self._set_perm(row, self.perm[row, :n] - delta)
 
-        if bursting_cols.size:
-            burst_cells = (
-                bursting_cols[:, None] * cpc + np.arange(cpc, dtype=np.int64)
-            ).reshape(-1)
-        else:
-            burst_cells = _EMPTY
+        burst_cells = (
+            bursting_cols[:, None] * cpc + np.arange(cpc, dtype=np.int64)
+        ).reshape(-1)
         self.active_cells = np.sort(np.concatenate([correct_predicted, burst_cells]))
         self.winner_cells = np.sort(
             np.concatenate(
@@ -225,215 +199,210 @@ class TemporalMemory:
             )
         )
 
-        predictive = self._recompute_segment_activity()
+        live = self.seg_cells[: self.segment_count] >= 0
+        if not live.all():
+            self._resize(np.flatnonzero(live), self.seg_ids.size)
+        self._update_activity()
         self.step_count += 1
-        if predictive.size:
-            predictive_column_count = int(np.unique(predictive // cpc).size)
-        else:
-            predictive_column_count = 0
         return TmStepResult(
             anomaly_score=float(anomaly),
-            predictive_column_count=predictive_column_count,
+            predictive_column_count=int(np.unique(self.predictive_cells // cpc).size),
             active_column_count=int(active_cols.size),
         )
 
-    def reset(self) -> None:
-        """Clear carried step state; learned segments are kept."""
-        self.active_cells = _EMPTY
-        self.winner_cells = _EMPTY
-        self.predictive_cells = _EMPTY
-        self.active_segments = _EMPTY
-        self.matching_segments = _EMPTY
-        self.potential_counts = {}
+    def _cell_lut(self, cells: np.ndarray) -> np.ndarray:
+        """Flags over all cells plus an always-false entry for -1 padding."""
+        lut = np.zeros(self.total_cells + 1, dtype=bool)
+        lut[cells] = True
+        return lut
+
+    def _rows(self, segment_ids: np.ndarray) -> np.ndarray:
+        """Rows of live segments; valid between steps, when rows are in id order."""
+        return np.searchsorted(self.seg_ids[: self.segment_count], segment_ids)
 
     # --- learning helpers ---------------------------------------------------
 
-    def _adapt(self, sid: int, seg: _Segment, prev_active_lut: np.ndarray) -> bool:
+    def _adapt(self, row: int, prev_active_lut: np.ndarray,
+               prev_winners: np.ndarray) -> None:
+        """Reinforce a segment; if it survives, grow it toward the winners."""
         p = self.params
-        active = prev_active_lut[seg.presyn]
-        perm = seg.perm + np.where(
-            active, p.permanence_increment, -p.permanence_decrement
-        )
-        seg.last_reinforced = np.where(active, self.step_count, seg.last_reinforced)
-        seg.last_used = self.step_count
-        return self._apply_perm(sid, seg, perm)
+        grow = p.new_synapse_count - int(self.seg_potential[row])
+        n = self.seg_lens[row]
+        active = prev_active_lut[self.presyn[row, :n]]
+        self.last_reinforced[row, :n][active] = self.step_count
+        self.seg_last_used[row] = self.step_count
+        delta = np.where(active, p.permanence_increment, -p.permanence_decrement)
+        if self._set_perm(row, self.perm[row, :n] + delta):
+            self._grow(row, prev_winners, grow)
 
-    def _punish(self, sid: int, seg: _Segment, prev_active_lut: np.ndarray) -> bool:
-        active = prev_active_lut[seg.presyn]
-        perm = seg.perm - np.where(active, self.params.predicted_decrement, 0.0)
-        return self._apply_perm(sid, seg, perm)
-
-    def _apply_perm(self, sid: int, seg: _Segment, perm: np.ndarray) -> bool:
+    def _set_perm(self, row: int, perm: np.ndarray) -> bool:
+        """Store permanences, drop synapses <= 0; False if that destroyed the segment."""
         keep = perm > 0.0
-        if keep.all():
-            seg.perm = np.minimum(perm, 1.0)
-            return True
-        seg.presyn = seg.presyn[keep]
-        seg.perm = np.minimum(perm[keep], 1.0)
-        seg.last_reinforced = seg.last_reinforced[keep]
-        if seg.presyn.size == 0:
-            self._destroy_segment(sid, seg)
+        if not keep.any():
+            self._destroy_segment(row)
             return False
+        self.perm[row, : perm.size] = np.minimum(perm, 1.0)
+        if not keep.all():
+            self._keep_synapses(row, keep)
         return True
 
-    def _grow(self, seg: _Segment, candidates: np.ndarray, want: int) -> None:
+    def _keep_synapses(self, row: int, keep: np.ndarray) -> int:
+        """Compact the row to the synapses flagged in ``keep``; returns the count."""
+        n = keep.size
+        kept = int(np.count_nonzero(keep))
+        for arr in (self.presyn, self.perm, self.last_reinforced):
+            arr[row, :kept] = arr[row, :n][keep]
+        self.presyn[row, kept:n] = -1
+        self.seg_lens[row] = kept
+        return kept
+
+    def _grow(self, row: int, candidates: np.ndarray, want: int) -> None:
         if want <= 0 or candidates.size == 0:
             return
-        avail = candidates[~np.isin(candidates, seg.presyn)]
+        n = int(self.seg_lens[row])
+        avail = candidates[~np.isin(candidates, self.presyn[row, :n])]
         if avail.size == 0:
             return
         p = self.params
         k = min(want, int(avail.size), p.max_synapses_per_segment)
-        if k <= 0:
-            return
         if k < avail.size:
             chosen = np.sort(self.rng.choice(avail, size=k, replace=False))
         else:
             chosen = avail
-        over = seg.presyn.size + k - p.max_synapses_per_segment
+        over = n + k - p.max_synapses_per_segment
         if over > 0:
-            # Evict the least recently reinforced synapses to make room.
-            order = np.lexsort((np.arange(seg.presyn.size), seg.last_reinforced))
-            keep = np.ones(seg.presyn.size, dtype=bool)
-            keep[order[:over]] = False
-            seg.presyn = seg.presyn[keep]
-            seg.perm = seg.perm[keep]
-            seg.last_reinforced = seg.last_reinforced[keep]
-        seg.presyn = np.concatenate([seg.presyn, chosen])
-        seg.perm = np.concatenate(
-            [seg.perm, np.full(chosen.size, p.initial_permanence)]
-        )
-        seg.last_reinforced = np.concatenate(
-            [seg.last_reinforced, np.full(chosen.size, self.step_count, dtype=np.int64)]
-        )
-        seg.last_used = self.step_count
+            # Evict the least recently reinforced synapses to make room; a
+            # stable sort breaks ties by position in the row.
+            oldest = np.argsort(self.last_reinforced[row, :n], kind="stable")[:over]
+            keep = np.ones(n, dtype=bool)
+            keep[oldest] = False
+            n = self._keep_synapses(row, keep)
+        self.presyn[row, n : n + k] = chosen
+        self.perm[row, n : n + k] = p.initial_permanence
+        self.last_reinforced[row, n : n + k] = self.step_count
+        self.seg_lens[row] = n + k
+        self.seg_last_used[row] = self.step_count
 
-    def _least_used_cell(self, col: int) -> int:
-        cpc = self.params.cells_per_column
-        base = col * cpc
-        best_cell = base
-        best_count = len(self.cell_segments.get(base, ()))
-        for cell in range(base + 1, base + cpc):
-            count = len(self.cell_segments.get(cell, ()))
-            if count < best_count:
-                best_count = count
-                best_cell = cell
-        return best_cell
-
-    def _create_segment(self, cell: int) -> _Segment:
-        ids = self.cell_segments.setdefault(cell, [])
-        if len(ids) >= self.params.max_segments_per_cell:
-            evict = min(ids, key=lambda sid: (self.segments[sid].last_used, sid))
-            self._destroy_segment(evict, self.segments[evict])
-        sid = self.next_segment_id
+    def _create_segment(self, cell: int) -> int:
+        n = self.segment_count
+        if self.cell_segment_counts[cell] >= self.params.max_segments_per_cell:
+            owned = np.flatnonzero(self.seg_cells[:n] == cell)
+            self._destroy_segment(owned[np.argmin(self.seg_last_used[owned])])
+        if n == self.seg_ids.size:
+            self._resize(np.arange(n), max(2 * n, 8))
+        self.seg_ids[n] = self.next_segment_id
+        self.seg_cells[n] = cell
+        self.seg_last_used[n] = self.step_count
+        self.cell_segment_counts[cell] += 1
         self.next_segment_id += 1
-        seg = _Segment(cell, self.step_count)
-        self.segments[sid] = seg
-        ids.append(sid)
-        return seg
+        self.segment_count = n + 1
+        return n
 
-    def _destroy_segment(self, sid: int, seg: _Segment) -> None:
-        self.segments.pop(sid, None)
-        ids = self.cell_segments.get(seg.cell)
-        if ids and sid in ids:
-            ids.remove(sid)
+    def _destroy_segment(self, row: int) -> None:
+        self.cell_segment_counts[self.seg_cells[row]] -= 1
+        self.seg_cells[row] = -1
+
+    def _new_store(self, capacity: int) -> None:
+        """Empty store arrays of ``capacity`` rows, all padding."""
+        width = self.params.max_synapses_per_segment
+        self.presyn = np.full((capacity, width), -1, dtype=np.int64)
+        self.perm = np.zeros((capacity, width), dtype=np.float64)
+        self.last_reinforced = np.zeros((capacity, width), dtype=np.int64)
+        self.seg_ids = np.zeros(capacity, dtype=np.int64)
+        self.seg_cells = np.full(capacity, -1, dtype=np.int64)
+        self.seg_lens = np.zeros(capacity, dtype=np.int64)
+        self.seg_last_used = np.zeros(capacity, dtype=np.int64)
+        self.seg_potential = np.zeros(capacity, dtype=np.int64)
+        self.segment_count = 0
+
+    def _resize(self, rows: np.ndarray, capacity: int) -> None:
+        """Move ``rows``, in order, to the front of a new store of ``capacity``."""
+        old = [getattr(self, name) for name in _STORE]
+        self._new_store(capacity)
+        for name, arr in zip(_STORE, old):
+            getattr(self, name)[: rows.size] = arr[rows]
+        self.segment_count = rows.size
 
     # --- activation ---------------------------------------------------------
 
-    def _recompute_segment_activity(self) -> np.ndarray:
+    def _update_activity(self) -> None:
         p = self.params
-        n_seg = len(self.segments)
-        if n_seg == 0:
+        n = self.segment_count
+        if n == 0:
+            # The shared empty array of a fresh instance; snapshot bytes
+            # depend on that sharing.
             self.active_segments = _EMPTY
             self.matching_segments = _EMPTY
-            self.potential_counts = {}
             self.predictive_cells = _EMPTY
-            return _EMPTY
-        seg_ids = np.fromiter(self.segments.keys(), dtype=np.int64, count=n_seg)
-        owners = np.fromiter(
-            (s.cell for s in self.segments.values()), dtype=np.int64, count=n_seg
-        )
-        counts = np.fromiter(
-            (s.presyn.size for s in self.segments.values()),
-            dtype=np.int64,
-            count=n_seg,
-        )
-        total_syn = int(counts.sum())
-        if total_syn == 0:
-            self.active_segments = _EMPTY
-            self.matching_segments = _EMPTY
-            self.potential_counts = {}
-            self.predictive_cells = _EMPTY
-            return _EMPTY
-        flat_presyn = np.concatenate([s.presyn for s in self.segments.values()])
-        flat_perm = np.concatenate([s.perm for s in self.segments.values()])
-        flat_seg = np.repeat(np.arange(n_seg), counts)
-        active_lut = np.zeros(self.total_cells, dtype=bool)
-        active_lut[self.active_cells] = True
-        hit = active_lut[flat_presyn]
-        connected = flat_perm >= p.connected_threshold
-        act_counts = np.bincount(flat_seg[hit & connected], minlength=n_seg)
-        pot_counts = np.bincount(flat_seg[hit], minlength=n_seg)
-        active_mask = act_counts >= p.activation_threshold
-        matching_mask = pot_counts >= p.min_threshold
-        self.active_segments = seg_ids[active_mask]
-        self.matching_segments = seg_ids[matching_mask]
-        nonzero = pot_counts > 0
-        self.potential_counts = {
-            int(sid): int(cnt)
-            for sid, cnt in zip(seg_ids[nonzero], pot_counts[nonzero])
-        }
-        self.predictive_cells = np.unique(owners[active_mask])
-        return self.predictive_cells
+            return
+        hit = self._cell_lut(self.active_cells)[self.presyn[:n]]
+        potential = np.count_nonzero(hit, axis=1)
+        connected = hit & (self.perm[:n] >= p.connected_threshold)
+        active = np.count_nonzero(connected, axis=1) >= p.activation_threshold
+        self.seg_potential[:n] = potential
+        self.active_segments = self.seg_ids[:n][active]
+        self.matching_segments = self.seg_ids[:n][potential >= p.min_threshold]
+        self.predictive_cells = np.unique(self.seg_cells[:n][active])
 
     # --- serialization --------------------------------------------------------
 
     def state_dict(self) -> dict:
+        """Learned and carried state, segments in ascending id order.
+
+        The segment arrays are views into the store, which later learning
+        mutates.
+        """
+        n = self.segment_count
+        ids = self.seg_ids[:n].tolist()
+        rows = zip(ids, self.seg_cells[:n].tolist(), self.seg_lens[:n].tolist(),
+                   self.seg_last_used[:n].tolist(), self.presyn, self.perm,
+                   self.last_reinforced)
         return {
             "params": asdict(self.params),
             "segments": [
-                {
-                    "id": sid,
-                    "cell": seg.cell,
-                    "presyn": seg.presyn,
-                    "perm": seg.perm,
-                    "last_reinforced": seg.last_reinforced,
-                    "last_used": seg.last_used,
-                }
-                for sid, seg in self.segments.items()
+                {"id": sid, "cell": cell, "presyn": presyn[:size], "perm": perm[:size],
+                 "last_reinforced": reinforced[:size], "last_used": last_used}
+                for sid, cell, size, last_used, presyn, perm, reinforced in rows
             ],
             "next_segment_id": self.next_segment_id,
             "rng_state": self.rng.bit_generator.state,
             "step_count": self.step_count,
-            "active_cells": self.active_cells,
-            "winner_cells": self.winner_cells,
-            "predictive_cells": self.predictive_cells,
-            "active_segments": self.active_segments,
-            "matching_segments": self.matching_segments,
-            "potential_counts": dict(self.potential_counts),
+            **{name: getattr(self, name) for name in _STEP},
+            "potential_counts": {
+                sid: count
+                for sid, count in zip(ids, self.seg_potential[:n].tolist())
+                if count
+            },
         }
 
     def load_state_dict(self, state: dict) -> None:
+        """Fill the store from ``state``; segment arrays are copied, not kept."""
         self.params = TmParams(**state["params"])
         self.total_cells = self.params.column_count * self.params.cells_per_column
-        self.segments = {}
-        self.cell_segments = {}
-        for rec in sorted(state["segments"], key=lambda r: r["id"]):
-            seg = _Segment(int(rec["cell"]), int(rec["last_used"]))
-            seg.presyn = np.asarray(rec["presyn"], dtype=np.int64)
-            seg.perm = np.asarray(rec["perm"], dtype=np.float64)
-            seg.last_reinforced = np.asarray(rec["last_reinforced"], dtype=np.int64)
-            self.segments[int(rec["id"])] = seg
-            self.cell_segments.setdefault(seg.cell, []).append(int(rec["id"]))
+        segments = sorted(state["segments"], key=lambda rec: rec["id"])
+        self._new_store(len(segments))
+        self.segment_count = len(segments)
+        # One vectorised pass per array: row r fills its first seg_lens[r] slots.
+        self.seg_lens[:] = [np.size(rec["presyn"]) for rec in segments]
+        width = self.params.max_synapses_per_segment
+        filled = np.arange(width) < self.seg_lens[:, None]
+        for name in ("presyn", "perm", "last_reinforced"):
+            arrays = [_EMPTY] + [rec[name] for rec in segments]
+            getattr(self, name)[filled] = np.concatenate(arrays)
+        self.seg_ids[:] = [rec["id"] for rec in segments]
+        self.seg_cells[:] = [rec["cell"] for rec in segments]
+        self.seg_last_used[:] = [rec["last_used"] for rec in segments]
+        counts = state["potential_counts"]
+        rows = self._rows(np.fromiter(counts, np.int64, len(counts)))
+        self.seg_potential[rows] = list(counts.values())
+        self.cell_segment_counts = np.bincount(
+            self.seg_cells, minlength=self.total_cells
+        )
         self.next_segment_id = int(state["next_segment_id"])
         self.rng = np.random.default_rng(0)
         self.rng.bit_generator.state = state["rng_state"]
         self.step_count = int(state["step_count"])
-        self.active_cells = np.asarray(state["active_cells"], dtype=np.int64)
-        self.winner_cells = np.asarray(state["winner_cells"], dtype=np.int64)
-        self.predictive_cells = np.asarray(state["predictive_cells"], dtype=np.int64)
-        self.active_segments = np.asarray(state["active_segments"], dtype=np.int64)
-        self.matching_segments = np.asarray(state["matching_segments"], dtype=np.int64)
-        self.potential_counts = {
-            int(k): int(v) for k, v in state["potential_counts"].items()
-        }
+        # Step arrays are replaced each step, never written in place, so
+        # they need no copy.
+        for name in _STEP:
+            setattr(self, name, np.asarray(state[name], dtype=np.int64))

@@ -195,13 +195,20 @@ def test_missing_input_fails(tmp_path, capsys):
 
 
 def test_stream_frame_size_mismatch_fails(tmp_path, stream_dir, capsys):
-    # the stream on disk is 36x36 but the encoder expects 48x48
+    # the stream on disk is 36x36 but the encoder expects 48x48; the run
+    # fails on the first frame, before any output exists
     config = write(
         tmp_path / "mismatch.cfg",
-        f"input = {stream_dir}\nencoder.frame_size = 48x48\n",
+        f"input = {stream_dir}\nencoder.frame_size = 48x48\n"
+        f"output.scores_csv = {tmp_path / 'm.csv'}\n"
+        f"output.heatmap_dir = {tmp_path / 'm_heat'}\n"
+        f"output.snapshot = {tmp_path / 'm.snap'}\n",
     )
     assert main(["run", config]) == 1
     assert "shape" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "m.csv")
+    assert not os.path.exists(tmp_path / "m_heat")
+    assert not os.path.exists(tmp_path / "m.snap")
 
 
 def test_stats_bad_cell_argument(tmp_path, stream_dir, capsys):

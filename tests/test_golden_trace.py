@@ -125,6 +125,7 @@ def trace(tmp_path_factory):
     out["csv"] = sha((root / "scores.csv").read_bytes())
     out["run_snapshot"] = sha((root / "model.snap").read_bytes())
     out["learned"] = summary.model
+    out["run_snapshot_bytes"] = (root / "model.snap").read_bytes()
     return out
 
 
@@ -158,3 +159,8 @@ def test_trace_matches_golden(trace, name):
 )
 def test_snapshot_bytes_match_golden(trace, name):
     assert trace[name] == GOLDEN[name]
+
+
+def test_snapshot_reloads_to_the_same_bytes(trace):
+    data = trace["run_snapshot_bytes"]
+    assert GridModel.from_bytes(data).to_bytes() == data

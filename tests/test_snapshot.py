@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from htmgrid import SnapshotError
-from htmgrid import snapshot
+from htmgrid import CellOverride, GridModel, SnapshotError, SpParams, TmParams
+from htmgrid import build_grid_config, snapshot
+from htmgrid.grid import SNAPSHOT_KIND, SNAPSHOT_VERSION
+from tests.conftest import states_equal
 
 
 def test_round_trip():
@@ -53,3 +55,33 @@ def test_pack_is_deterministic():
     payload = {"a": np.arange(10), "b": "text"}
     assert snapshot.pack("thing", 1, payload) == snapshot.pack("thing", 1, payload)
 
+
+
+class _RunsCode:
+    def __reduce__(self):
+        return (print, ("snapshot payload ran",))
+
+
+def test_loading_never_runs_code(capsys):
+    blob = snapshot.pack(SNAPSHOT_KIND, SNAPSHOT_VERSION, {"config": _RunsCode()})
+    with pytest.raises(SnapshotError, match="builtins.print"):
+        GridModel.from_bytes(blob)
+    assert capsys.readouterr().out == ""
+
+
+def test_grid_with_per_cell_overrides_round_trips():
+    config = build_grid_config(
+        (36, 36), (12, 12), seed=3,
+        per_cell_overrides={
+            (0, 1): CellOverride(
+                sp=SpParams(input_width=144, column_count=64, active_columns=4, seed=9),
+                tm=TmParams(column_count=128, cells_per_column=4, seed=10),
+            ),
+            (2, 2): CellOverride(tm=TmParams(column_count=256, seed=11)),
+        },
+    )
+    model = GridModel(config)
+    model.step([np.zeros((36, 36), dtype=np.uint8)])
+    restored = GridModel.from_bytes(model.to_bytes())
+    assert restored.config == config
+    assert states_equal(restored.state_dict(), model.state_dict())

@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 
@@ -147,10 +145,24 @@ def test_snapshot_round_trip_bit_exact():
     inputs = [Sdr(144, np.sort(rng.choice(144, 20, replace=False))) for _ in range(30)]
     for x in inputs:
         sp.compute(x, learn=True)
-    # state_dict() shares arrays with the live object; GridModel copies it
-    # by serializing, the test by deepcopy.
     restored = SpatialPooler.__new__(SpatialPooler)
-    restored.load_state_dict(copy.deepcopy(sp.state_dict()))
+    restored.load_state_dict(sp.state_dict())
     assert states_equal(restored.state_dict(), sp.state_dict())
     for x in inputs:
         assert restored.compute(x, learn=True) == sp.compute(x, learn=True)
+
+
+def test_loaded_state_is_not_shared_with_its_source():
+    sp = SpatialPooler(make_params(boosting_enabled=True))
+    rng = np.random.default_rng(19)
+    inputs = [Sdr(144, np.sort(rng.choice(144, 20, replace=False))) for _ in range(20)]
+    for x in inputs[:10]:
+        sp.compute(x, learn=True)
+    state = sp.state_dict()
+    permanences, duty_cycles = state["permanences"].copy(), state["duty_cycles"].copy()
+    restored = SpatialPooler.__new__(SpatialPooler)
+    restored.load_state_dict(state)
+    for x in inputs[10:]:
+        restored.compute(x, learn=True)
+    assert np.array_equal(state["permanences"], permanences)
+    assert np.array_equal(state["duty_cycles"], duty_cycles)

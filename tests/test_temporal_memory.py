@@ -68,25 +68,6 @@ def test_anomaly_matches_unpredicted_fraction():
         assert result.active_column_count == 12
 
 
-def test_reset_is_noop_on_fresh_instance():
-    tm = make_tm()
-    tm.reset()
-    assert tm.compute(A, learn=True).anomaly_score == 1.0
-
-
-def test_reset_clears_context_but_keeps_segments():
-    tm = make_tm()
-    for _ in range(50):
-        for pattern in (A, B, C):
-            tm.compute(pattern, learn=True)
-    segments_before = len(tm.segments)
-    tm.reset()
-    assert len(tm.segments) == segments_before
-    replay = [tm.compute(p, learn=True).anomaly_score for p in (A, B, C, A, B, C)]
-    assert replay[0] == 1.0
-    assert all(s == 0.0 for s in replay[1:])
-
-
 def test_determinism_bit_identical_state():
     rng = np.random.default_rng(5)
     inputs = [Sdr(36, np.sort(rng.choice(36, 12, replace=False))) for _ in range(150)]
@@ -157,11 +138,10 @@ def test_segment_and_synapse_caps_respected():
     for _ in range(500):
         active = np.sort(rng.choice(36, 12, replace=False))
         tm.compute(Sdr(36, active), learn=True)
-    assert tm.segments
-    for ids in tm.cell_segments.values():
-        assert len(ids) <= 4
-    for seg in tm.segments.values():
-        assert seg.presyn.size <= 8
+    segments = tm.state_dict()["segments"]
+    assert segments
+    assert np.bincount([seg["cell"] for seg in segments]).max() <= 4
+    assert all(seg["presyn"].size <= 8 for seg in segments)
 
 
 def test_predictive_column_count_reported():
@@ -179,11 +159,45 @@ def test_snapshot_round_trip_continues_bit_identically():
     inputs = [Sdr(36, np.sort(rng.choice(36, 12, replace=False))) for _ in range(120)]
     for x in inputs[:60]:
         tm.compute(x, learn=True)
-    # state_dict() shares arrays with the live object; GridModel copies it
-    # by serializing, the test by deepcopy.
     restored = TemporalMemory.__new__(TemporalMemory)
-    restored.load_state_dict(copy.deepcopy(tm.state_dict()))
+    restored.load_state_dict(tm.state_dict())
     assert states_equal(restored.state_dict(), tm.state_dict())
     for x in inputs[60:]:
         assert restored.compute(x, learn=True) == tm.compute(x, learn=True)
     assert states_equal(restored.state_dict(), tm.state_dict())
+
+
+def test_loaded_state_is_not_shared_with_its_source():
+    tm = make_tm()
+    rng = np.random.default_rng(17)
+    inputs = [Sdr(36, np.sort(rng.choice(36, 12, replace=False))) for _ in range(80)]
+    for x in inputs[:40]:
+        tm.compute(x, learn=True)
+    state = tm.state_dict()
+    before = copy.deepcopy(state)
+    restored = TemporalMemory.__new__(TemporalMemory)
+    restored.load_state_dict(state)
+    for x in inputs[40:]:
+        restored.compute(x, learn=True)
+    assert states_equal(state, before)
+
+
+def test_segment_store_invariants_hold_between_steps():
+    # Caps low enough that segments are evicted and synapses die every few
+    # steps, so rows are marked, appended and compacted throughout.
+    tm = make_tm(cells_per_column=2, max_segments_per_cell=2,
+                 max_synapses_per_segment=6, permanence_decrement=0.1,
+                 predicted_decrement=0.3)
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        tm.compute(Sdr(36, np.sort(rng.choice(36, 12, replace=False))), learn=True)
+        n = tm.segment_count
+        assert np.all(np.diff(tm.seg_ids[:n]) > 0)
+        assert np.all(tm.seg_cells[:n] >= 0)
+        assert np.array_equal(
+            tm.cell_segment_counts, np.bincount(tm.seg_cells[:n], minlength=72)
+        )
+        synapse = np.arange(6) < tm.seg_lens[:, None]
+        assert np.all((tm.presyn >= 0) == synapse)
+        assert np.all(tm.seg_lens[n:] == 0)
+    assert tm.next_segment_id > tm.segment_count
