@@ -10,6 +10,12 @@ segment store was rewritten; a refactor that claims identical behaviour must
 keep them.  A change that alters behaviour on purpose re-records them and
 says why.
 
+A second trace runs the benchmark's basic scene shape (36x36 frame, a 3x3
+grid of 12x12 cells) at the default temporal-memory parameters, so
+``new_synapse_count = 15`` samples from the previous winners and rows grow
+to their 32-synapse cap.  Its digests were recorded before learning was
+batched across the rows of a step.
+
 The snapshot digests pin pickle bytes, which name numpy's module paths;
 they were recorded under numpy 2 and are checked only there.
 """
@@ -19,7 +25,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from htmgrid import GridModel
+from htmgrid import GridModel, build_grid_config
 from htmgrid.config import parse_run_config, parse_scenario_config
 from htmgrid.runner import run
 from htmgrid.scenario import generate
@@ -85,6 +91,36 @@ GOLDEN = {
     "fresh_to_bytes": (
         "b124c1cdbd8967739580fd0d6cd10870"
         "ff34c1ac39f81bf8a7a1e596cecb81f9"
+    ),
+}
+
+DEFAULT_SCENARIO = """
+scenario.frame_size = 36x36
+scenario.frame_count = 120
+scenario.seed = 3
+noise.pixel_flip = 0.002
+object.0.shape = 7x7
+object.0.path = loop
+object.0.start = 4,9
+object.0.velocity = 2,3
+object.1.shape = 7x7
+object.1.path = loop
+object.1.start = 20,17
+object.1.velocity = 3,-2
+"""
+
+GOLDEN_DEFAULT = {
+    "raw_scores": (
+        "ec7ad80630776f99524582a806dc8bbe"
+        "50f183feb927603f24464644d1a22317"
+    ),
+    "certainty": (
+        "25838bcf3623cc990dcbfb84ea98ec57"
+        "80d3675faa23cf7d4ebf545940a634aa"
+    ),
+    "to_bytes": (
+        "ba7b417844193419557db13d1189c51a"
+        "c079af19216535d2f3796b9d23e8891a"
     ),
 }
 
@@ -164,3 +200,34 @@ def test_snapshot_bytes_match_golden(trace, name):
 def test_snapshot_reloads_to_the_same_bytes(trace):
     data = trace["run_snapshot_bytes"]
     assert GridModel.from_bytes(data).to_bytes() == data
+
+
+@pytest.fixture(scope="module")
+def default_trace():
+    model = GridModel(build_grid_config((36, 36), (12, 12), 1))
+    scores, certainty = hashlib.sha256(), hashlib.sha256()
+    for planes in generate(parse_scenario_config(DEFAULT_SCENARIO)):
+        result = model.step(planes, learn=True)
+        scores.update(result.raw_scores.tobytes())
+        certainty.update(result.certainty.tobytes())
+    return {"raw_scores": scores.hexdigest(), "certainty": certainty.hexdigest(),
+            "to_bytes": sha(model.to_bytes()), "model": model}
+
+
+def test_default_trace_samples_and_fills_rows(default_trace):
+    # Sampled growth leaves rows shorter than the winner count, and some
+    # rows reach the 32-synapse cap.
+    lengths = [s["presyn"].size for row in default_trace["model"].units
+               for unit in row for s in unit.tm.state_dict()["segments"]]
+    assert max(lengths) == 32
+    assert 15 in lengths
+
+
+@pytest.mark.parametrize("name", ["raw_scores", "certainty"])
+def test_default_trace_matches_golden(default_trace, name):
+    assert default_trace[name] == GOLDEN_DEFAULT[name]
+
+
+@numpy2
+def test_default_snapshot_bytes_match_golden(default_trace):
+    assert default_trace["to_bytes"] == GOLDEN_DEFAULT["to_bytes"]
