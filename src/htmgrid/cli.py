@@ -15,7 +15,7 @@ from . import snapshot as snapshot_format
 from .config import parse_run_config, parse_scenario_config
 from .encoder import active_pixel_stats
 from .errors import ConfigError, ContractError, SnapshotError
-from .grid import SNAPSHOT_KIND as GRID_KIND, SNAPSHOT_VERSION as GRID_VERSION
+from .grid import SNAPSHOT_KIND as GRID_KIND, GridModel
 from .imageio import write_mask_sequence
 from .runner import open_stream, run as run_stream
 from .scenario import generate
@@ -53,21 +53,18 @@ def cmd_snapshot_info(args) -> int:
     print(f"version: {version}")
     if kind != GRID_KIND:
         return 0
-    state = snapshot_format.unpack(data, GRID_KIND, GRID_VERSION)
-    config = state["config"]
+    model = GridModel.from_bytes(data)
+    config = model.config
     grows, gcols = config.encoder.grid_shape
     print(f"grid: {grows}x{gcols} cells of {config.encoder.cell_size[0]}"
           f"x{config.encoder.cell_size[1]} px")
     print(f"classes: {config.encoder.class_count}")
     print(f"multistep_n: {config.multistep_n}")
     print(f"aggregation: {config.aggregation.value}")
-    print(f"frames_processed: {state['frame_counter']}")
-    sp_cols = {row["sp"]["params"]["column_count"] for rows in state["units"] for row in rows}
-    print(f"sp_columns: {sorted(sp_cols)}")
-    segments = sum(
-        len(unit["tm"]["segments"]) for rows in state["units"] for unit in rows
-    )
-    print(f"tm_segments_total: {segments}")
+    print(f"frames_processed: {model.frame_counter}")
+    units = [unit for row in model.units for unit in row]
+    print(f"sp_columns: {sorted({unit.sp.params.column_count for unit in units})}")
+    print(f"tm_segments_total: {sum(unit.tm.segment_count for unit in units)}")
     return 0
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .aggregation import AggregationKind, aggregate
 from .encoder import CellInput, EncoderConfig, encode_frame
-from .errors import ConfigError
+from .errors import ConfigError, SnapshotError
 from .sdr import Sdr, concatenate
 from .spatial_pooler import SpParams, SpatialPooler
 from .temporal_memory import TmParams, TemporalMemory
@@ -259,6 +259,13 @@ class GridModel:
         }
 
     def load_state_dict(self, state: dict) -> None:
+        """Restore from ``state``; raises ``SnapshotError`` if it is not a grid model."""
+        try:
+            self._load_state(state)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise SnapshotError(f"snapshot payload is not a grid model: {exc!r}") from exc
+
+    def _load_state(self, state: dict) -> None:
         config: GridConfig = state["config"]
         self.config = config
         self.grid_shape = config.encoder.grid_shape
@@ -267,13 +274,14 @@ class GridModel:
             [float(v) for v in state["agg_history"]], maxlen=config.smoothing_window
         )
         self.units = []
+        views: dict = {}
         for r, row_state in enumerate(state["units"]):
             row = []
             for c, unit_state in enumerate(row_state):
                 sp = SpatialPooler.__new__(SpatialPooler)
                 sp.load_state_dict(unit_state["sp"])
                 tm = TemporalMemory.__new__(TemporalMemory)
-                tm.load_state_dict(unit_state["tm"])
+                tm.load_state_dict(unit_state["tm"], views)
                 unit = CellUnit.__new__(CellUnit)
                 unit.sp = sp
                 unit.tm = tm

@@ -21,6 +21,15 @@ steps rows ``[0, segment_count)`` are the live segments in ascending id
 order and later rows are padding.  Within a step a destroyed row is only
 marked (owner -1) and new rows are appended, so rows held by the step stay
 valid; marked rows are dropped after learning.  A full store doubles.
+
+Learning is batched over the rows a step selects: the segments that fired
+into active columns, the best matching segment of each bursting column, and
+the punished segments that fired into inactive ones.  They lie in disjoint
+columns, so one masked update over their padded rows applies every
+permanence change, and one stable sort per row compacts the rows that lost
+synapses.  Growth is the one pass that runs per row: a row that samples new
+synapses draws from the generator, so rows grow in the order the columns
+are visited (by column, then segment id) and every draw replays exactly.
 """
 
 from __future__ import annotations
@@ -148,56 +157,46 @@ class TemporalMemory:
         prev_active_lut = self._cell_lut(self.active_cells)
         prev_winners = self.winner_cells
 
-        # Segments that fired last step, and those that matched it, as rows
-        # in id order.  Fired ones in active columns get reinforced; the rest
-        # mispredicted and get punished below.
+        # Segments that fired last step, as rows in id order.  Fired ones in
+        # active columns get reinforced; the rest mispredicted and get punished.
         fired = self._rows(self.active_segments)
-        fired_cols = self.seg_cells[fired] // cpc
-        punished = fired[~active_col_lut[fired_cols]]
+        fired_in_active = active_col_lut[self.seg_cells[fired] // cpc]
+
+        # Bursting columns: the best matching segment (most potential synapses,
+        # lowest id on ties) names the winner, otherwise the least used cell
+        # (fewest segments, lowest index on ties) starts a fresh segment.
+        bursting_lut = active_col_lut & ~predicted_lut
         matching = self._rows(self.matching_segments)
+        matching = matching[bursting_lut[self.seg_cells[matching] // cpc]]
         matching_cols = self.seg_cells[matching] // cpc
+        order = np.lexsort((-self.seg_potential[matching], matching_cols))
+        matched_cols, first = np.unique(matching_cols[order], return_index=True)
+        best = matching[order[first]]
+        bursting_lut[matched_cols] = False
+        fresh_cols = np.flatnonzero(bursting_lut)
+        counts = self.cell_segment_counts.reshape(-1, cpc)[fresh_cols]
+        fresh = fresh_cols * cpc + np.argmin(counts, axis=1)
+        burst_winners = np.concatenate([self.seg_cells[best], fresh])
 
-        burst_winners: list[int] = []
-        for col in active_cols.tolist():
-            if predicted_lut[col]:
-                if learn:
-                    for row in fired[fired_cols == col].tolist():
-                        self._adapt(row, prev_active_lut, prev_winners)
-                continue
-            # Bursting column: the best matching segment (lowest id on ties)
-            # names the winner, otherwise the least used cell starts a fresh
-            # segment.
-            candidates = matching[matching_cols == col]
-            if candidates.size:
-                row = int(candidates[np.argmax(self.seg_potential[candidates])])
-                burst_winners.append(int(self.seg_cells[row]))
-                if learn:
-                    self._adapt(row, prev_active_lut, prev_winners)
-            else:
-                # The least used cell: fewest segments, lowest index on ties.
-                counts = self.cell_segment_counts[col * cpc : (col + 1) * cpc]
-                winner = col * cpc + int(np.argmin(counts))
-                burst_winners.append(winner)
-                if learn and prev_winners.size:
-                    row = self._create_segment(winner)
-                    self._grow(row, prev_winners, p.new_synapse_count)
-
-        if learn and p.predicted_decrement > 0.0:
-            for row in punished.tolist():
-                n = self.seg_lens[row]
-                active = prev_active_lut[self.presyn[row, :n]]
-                delta = np.where(active, p.predicted_decrement, 0.0)
-                self._set_perm(row, self.perm[row, :n] - delta)
+        if learn:
+            adapted = np.concatenate([fired[fired_in_active], best])
+            alive = self._update_permanences(adapted, fired[~fired_in_active],
+                                             prev_active_lut)
+            if prev_winners.size:
+                new = [self._create_segment(cell) for cell in fresh.tolist()]
+                rows = np.concatenate([adapted[alive], np.array(new, dtype=np.int64)])
+                # A new row was padding, with no potential synapses.
+                want = p.new_synapse_count - self.seg_potential[rows]
+                rows, want = rows[want > 0], want[want > 0]
+                # Draw in the order the columns are visited: by column, then id.
+                order = np.lexsort((rows, self.seg_cells[rows] // cpc))
+                self._grow(rows[order], want[order], prev_winners)
 
         burst_cells = (
             bursting_cols[:, None] * cpc + np.arange(cpc, dtype=np.int64)
         ).reshape(-1)
         self.active_cells = np.sort(np.concatenate([correct_predicted, burst_cells]))
-        self.winner_cells = np.sort(
-            np.concatenate(
-                [correct_predicted, np.asarray(burst_winners, dtype=np.int64)]
-            )
-        )
+        self.winner_cells = np.sort(np.concatenate([correct_predicted, burst_winners]))
 
         live = self.seg_cells[: self.segment_count] >= 0
         if not live.all():
@@ -222,72 +221,82 @@ class TemporalMemory:
 
     # --- learning helpers ---------------------------------------------------
 
-    def _adapt(self, row: int, prev_active_lut: np.ndarray,
-               prev_winners: np.ndarray) -> None:
-        """Reinforce a segment; if it survives, grow it toward the winners."""
+    def _update_permanences(self, adapted: np.ndarray, punished: np.ndarray,
+                            prev_active_lut: np.ndarray) -> np.ndarray:
+        """Adapt and punish rows in one masked update; True where an adapted row lives.
+
+        Adapted rows gain the increment on synapses to previously active
+        cells and lose the decrement elsewhere; punished rows lose the
+        predicted decrement on those synapses.  Synapses at or below zero are
+        dropped and a row left with none is destroyed.
+        """
         p = self.params
-        grow = p.new_synapse_count - int(self.seg_potential[row])
-        n = self.seg_lens[row]
-        active = prev_active_lut[self.presyn[row, :n]]
-        self.last_reinforced[row, :n][active] = self.step_count
-        self.seg_last_used[row] = self.step_count
-        delta = np.where(active, p.permanence_increment, -p.permanence_decrement)
-        if self._set_perm(row, self.perm[row, :n] + delta):
-            self._grow(row, prev_winners, grow)
+        rows = np.concatenate([adapted, punished])
+        sizes = [adapted.size, punished.size]
+        presyn = self.presyn[rows]
+        hit = prev_active_lut[presyn]
+        on_hit = np.repeat([p.permanence_increment, -p.predicted_decrement], sizes)
+        off_hit = np.repeat([-p.permanence_decrement, 0.0], sizes)
+        perm = self.perm[rows] + np.where(hit, on_hit[:, None], off_hit[:, None])
+        self.perm[rows] = np.minimum(perm, 1.0)
+        self.last_reinforced[adapted] = np.where(hit[: adapted.size], self.step_count,
+                                                 self.last_reinforced[adapted])
+        self.seg_last_used[adapted] = self.step_count
+        keep = (presyn >= 0) & (perm > 0.0)
+        lens = keep.sum(axis=1)
+        lost = lens < self.seg_lens[rows]
+        if lost.any():
+            self._compact(rows[lost], keep[lost])
+        self._destroy_segments(rows[lens == 0])
+        return lens[: adapted.size] > 0
 
-    def _set_perm(self, row: int, perm: np.ndarray) -> bool:
-        """Store permanences, drop synapses <= 0; False if that destroyed the segment."""
-        keep = perm > 0.0
-        if not keep.any():
-            self._destroy_segment(row)
-            return False
-        self.perm[row, : perm.size] = np.minimum(perm, 1.0)
-        if not keep.all():
-            self._keep_synapses(row, keep)
-        return True
+    def _grow(self, rows: np.ndarray, wants: np.ndarray, winners: np.ndarray) -> None:
+        """Give each row up to ``wants`` new synapses to the ``winners`` it lacks.
 
-    def _keep_synapses(self, row: int, keep: np.ndarray) -> int:
-        """Compact the row to the synapses flagged in ``keep``; returns the count."""
-        n = keep.size
-        kept = int(np.count_nonzero(keep))
-        for arr in (self.presyn, self.perm, self.last_reinforced):
-            arr[row, :kept] = arr[row, :n][keep]
-        self.presyn[row, kept:n] = -1
-        self.seg_lens[row] = kept
-        return kept
-
-    def _grow(self, row: int, candidates: np.ndarray, want: int) -> None:
-        if want <= 0 or candidates.size == 0:
-            return
-        n = int(self.seg_lens[row])
-        avail = candidates[~np.isin(candidates, self.presyn[row, :n])]
-        if avail.size == 0:
-            return
+        A row that may not take all of them samples them from the generator;
+        the draws are the only per-row work and follow the order of ``rows``.
+        """
         p = self.params
-        k = min(want, int(avail.size), p.max_synapses_per_segment)
-        if k < avail.size:
-            chosen = np.sort(self.rng.choice(avail, size=k, replace=False))
-        else:
-            chosen = avail
-        over = n + k - p.max_synapses_per_segment
-        if over > 0:
-            # Evict the least recently reinforced synapses to make room; a
-            # stable sort breaks ties by position in the row.
-            oldest = np.argsort(self.last_reinforced[row, :n], kind="stable")[:over]
-            keep = np.ones(n, dtype=bool)
-            keep[oldest] = False
-            n = self._keep_synapses(row, keep)
-        self.presyn[row, n : n + k] = chosen
-        self.perm[row, n : n + k] = p.initial_permanence
-        self.last_reinforced[row, n : n + k] = self.step_count
-        self.seg_lens[row] = n + k
-        self.seg_last_used[row] = self.step_count
+        avail = (self.presyn[rows][:, :, None] != winners).all(axis=1)
+        take = np.minimum(wants, avail.sum(axis=1)).clip(max=p.max_synapses_per_segment)
+        chosen = [_EMPTY]
+        for k, mask in zip(take.tolist(), avail):
+            pool = winners[mask]
+            if k < pool.size:
+                pool = np.sort(self.rng.choice(pool, size=k, replace=False))
+            chosen.append(pool)
+        # Evict the least recently reinforced synapses to make room; a stable
+        # sort breaks ties by position in the row, and padding sorts last.
+        over = self.seg_lens[rows] + take - p.max_synapses_per_segment
+        full = rows[over > 0]
+        if full.size:
+            presyn = self.presyn[full]
+            age = np.where(presyn >= 0, self.last_reinforced[full], self.step_count + 1)
+            rank = age.argsort(axis=1, kind="stable").argsort(axis=1)
+            self._compact(full, (presyn >= 0) & (rank >= over[over > 0][:, None]))
+        start = self.seg_lens[rows]
+        slot = np.arange(self.presyn.shape[1])
+        r, at = np.nonzero((slot >= start[:, None]) & (slot < (start + take)[:, None]))
+        at = rows[r], at
+        self.presyn[at] = np.concatenate(chosen)
+        self.perm[at] = p.initial_permanence
+        self.last_reinforced[at] = self.step_count
+        self.seg_lens[rows] = start + take
+
+    def _compact(self, rows: np.ndarray, keep: np.ndarray) -> None:
+        """Move each row's ``keep`` synapses, in order, to its front."""
+        # A stable sort of ~keep lists each row's kept slots first.
+        at = np.arange(rows.size)[:, None], (~keep).argsort(axis=1, kind="stable")
+        self.presyn[rows] = np.where(keep[at], self.presyn[rows][at], -1)
+        for arr in (self.perm, self.last_reinforced):
+            arr[rows] = arr[rows][at]
+        self.seg_lens[rows] = keep.sum(axis=1)
 
     def _create_segment(self, cell: int) -> int:
         n = self.segment_count
         if self.cell_segment_counts[cell] >= self.params.max_segments_per_cell:
             owned = np.flatnonzero(self.seg_cells[:n] == cell)
-            self._destroy_segment(owned[np.argmin(self.seg_last_used[owned])])
+            self._destroy_segments(owned[np.argmin(self.seg_last_used[owned])])
         if n == self.seg_ids.size:
             self._resize(np.arange(n), max(2 * n, 8))
         self.seg_ids[n] = self.next_segment_id
@@ -298,9 +307,9 @@ class TemporalMemory:
         self.segment_count = n + 1
         return n
 
-    def _destroy_segment(self, row: int) -> None:
-        self.cell_segment_counts[self.seg_cells[row]] -= 1
-        self.seg_cells[row] = -1
+    def _destroy_segments(self, rows: np.ndarray) -> None:
+        np.subtract.at(self.cell_segment_counts, self.seg_cells[rows], 1)
+        self.seg_cells[rows] = -1
 
     def _new_store(self, capacity: int) -> None:
         """Empty store arrays of ``capacity`` rows, all padding."""
@@ -375,8 +384,9 @@ class TemporalMemory:
             },
         }
 
-    def load_state_dict(self, state: dict) -> None:
+    def load_state_dict(self, state: dict, views: dict | None = None) -> None:
         """Fill the store from ``state``; segment arrays are copied, not kept."""
+        views = {} if views is None else views
         self.params = TmParams(**state["params"])
         self.total_cells = self.params.column_count * self.params.cells_per_column
         segments = sorted(state["segments"], key=lambda rec: rec["id"])
@@ -403,6 +413,9 @@ class TemporalMemory:
         self.rng.bit_generator.state = state["rng_state"]
         self.step_count = int(state["step_count"])
         # Step arrays are replaced each step, never written in place, so
-        # they need no copy.
+        # they need no copy.  ``views``, one dict for all units of a model,
+        # holds one int64 view per loaded array, so arrays the state shares
+        # stay shared and a reloaded model pickles to the same bytes.
         for name in _STEP:
-            setattr(self, name, np.asarray(state[name], dtype=np.int64))
+            value = np.asarray(state[name], dtype=np.int64)
+            setattr(self, name, views.setdefault(id(state[name]), value))

@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from htmgrid import GridModel
+from htmgrid import GridModel, snapshot
 from htmgrid.cli import main
 from htmgrid.config import parse_run_config
+from htmgrid.grid import SNAPSHOT_KIND, SNAPSHOT_VERSION
 from htmgrid.imageio import read_mask_sequence, read_ppm
 
 SCENARIO = """
@@ -222,6 +223,14 @@ def test_corrupt_snapshot_info_fails(tmp_path, capsys):
     path.write_bytes(b"not a snapshot at all")
     assert main(["snapshot-info", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [{}, {"config": 1}], ids=["empty", "config-int"])
+def test_malformed_snapshot_info_fails(tmp_path, capsys, payload):
+    path = tmp_path / "malformed.snap"
+    path.write_bytes(snapshot.pack(SNAPSHOT_KIND, SNAPSHOT_VERSION, payload))
+    assert main(["snapshot-info", str(path)]) == 1
+    assert "not a grid model" in capsys.readouterr().err
 
 
 def test_csv_aggregate_rises_during_repeat(tmp_path):

@@ -85,3 +85,17 @@ def test_grid_with_per_cell_overrides_round_trips():
     restored = GridModel.from_bytes(model.to_bytes())
     assert restored.config == config
     assert states_equal(restored.state_dict(), model.state_dict())
+
+
+@pytest.mark.parametrize("payload", [{}, {"config": 1}], ids=["empty", "config-int"])
+def test_malformed_payload_raises_snapshot_error(payload):
+    blob = snapshot.pack(SNAPSHOT_KIND, SNAPSHOT_VERSION, payload)
+    with pytest.raises(SnapshotError, match="not a grid model"):
+        GridModel.from_bytes(blob)
+
+
+def test_fresh_model_round_trips_byte_for_byte():
+    # A fresh model's step arrays share one empty array; the reload keeps
+    # that sharing, so it pickles to the same bytes.
+    data = GridModel(build_grid_config((36, 36), (12, 12))).to_bytes()
+    assert GridModel.from_bytes(data).to_bytes() == data

@@ -201,3 +201,63 @@ def test_segment_store_invariants_hold_between_steps():
         assert np.all((tm.presyn >= 0) == synapse)
         assert np.all(tm.seg_lens[n:] == 0)
     assert tm.next_segment_id > tm.segment_count
+
+
+def _update_one_synapse_at_a_time(tm, adapted, punished, prev_active):
+    """Reference for the masked update: the permanence rule row by row."""
+    p = tm.params
+    alive = []
+    for row in [*adapted, *punished]:
+        reinforce = row in adapted
+        kept = []
+        for j in range(tm.seg_lens[row]):
+            cell, perm, when = tm.presyn[row, j], tm.perm[row, j], tm.last_reinforced[row, j]
+            if cell in prev_active and reinforce:
+                perm, when = perm + p.permanence_increment, tm.step_count
+            elif cell in prev_active:
+                perm = perm - p.predicted_decrement
+            elif reinforce:
+                perm = perm - p.permanence_decrement
+            if perm > 0.0:
+                kept.append((cell, min(perm, 1.0), when))
+        tm.presyn[row] = -1
+        for j, (cell, perm, when) in enumerate(kept):
+            tm.presyn[row, j], tm.perm[row, j], tm.last_reinforced[row, j] = cell, perm, when
+        tm.seg_lens[row] = len(kept)
+        if reinforce:
+            tm.seg_last_used[row] = tm.step_count
+            alive.append(bool(kept))
+        if not kept:
+            tm.cell_segment_counts[tm.seg_cells[row]] -= 1
+            tm.seg_cells[row] = -1
+    return alive
+
+
+def test_masked_update_matches_the_per_row_rule():
+    tm = make_tm(cells_per_column=2, max_synapses_per_segment=10,
+                 permanence_decrement=0.1, predicted_decrement=1.0)
+    rng = np.random.default_rng(29)
+    for _ in range(150):
+        tm.compute(Sdr(36, np.sort(rng.choice(36, 12, replace=False))), learn=True)
+    rows = rng.permutation(tm.segment_count)
+    third = rows.size // 3
+    adapted, punished = np.sort(rows[:third]), np.sort(rows[third : 2 * third])
+    prev_active = set(rng.choice(tm.total_cells, 36, replace=False).tolist())
+    # Every synapse of one adapted row near the ceiling and of one punished
+    # row is a hit: the first clamps at 1, the second loses all of them.
+    for row in (adapted[0], punished[0]):
+        prev_active |= set(tm.presyn[row, : tm.seg_lens[row]].tolist())
+    tm.perm[adapted[0]] = 0.95
+    reference = copy.deepcopy(tm)
+    lens = tm.seg_lens.copy()
+
+    alive = tm._update_permanences(adapted, punished, tm._cell_lut(list(prev_active)))
+    expected = _update_one_synapse_at_a_time(reference, adapted.tolist(),
+                                             punished.tolist(), prev_active)
+    assert alive.tolist() == expected
+    assert states_equal(tm.state_dict(), reference.state_dict())
+    assert np.array_equal(tm.cell_segment_counts, reference.cell_segment_counts)
+    # Synapse removal, segment destruction and the clamp all happened.
+    assert np.any((tm.seg_lens < lens) & (tm.seg_lens > 0))
+    assert np.all(tm.perm[adapted[0], : tm.seg_lens[adapted[0]]] == 1.0)
+    assert np.any(tm.seg_cells[: tm.segment_count] < 0)
