@@ -292,6 +292,9 @@ class GridModel:
                 unit.prev_empty = list(unit_state["prev_empty"])
                 row.append(unit)
             self.units.append(row)
+        grows, gcols = self.grid_shape
+        if [len(row) for row in self.units] != [gcols] * grows:
+            raise SnapshotError(f"snapshot units do not fill its {grows}x{gcols} grid")
 
     def to_bytes(self) -> bytes:
         return snapshot.pack(SNAPSHOT_KIND, SNAPSHOT_VERSION, self.state_dict())

@@ -165,17 +165,19 @@ class TemporalMemory:
         # Bursting columns: the best matching segment (most potential synapses,
         # lowest id on ties) names the winner, otherwise the least used cell
         # (fewest segments, lowest index on ties) starts a fresh segment.
-        bursting_lut = active_col_lut & ~predicted_lut
-        matching = self._rows(self.matching_segments)
-        matching = matching[bursting_lut[self.seg_cells[matching] // cpc]]
-        matching_cols = self.seg_cells[matching] // cpc
-        order = np.lexsort((-self.seg_potential[matching], matching_cols))
-        matched_cols, first = np.unique(matching_cols[order], return_index=True)
-        best = matching[order[first]]
-        bursting_lut[matched_cols] = False
-        fresh_cols = np.flatnonzero(bursting_lut)
-        counts = self.cell_segment_counts.reshape(-1, cpc)[fresh_cols]
-        fresh = fresh_cols * cpc + np.argmin(counts, axis=1)
+        best = fresh = _EMPTY
+        if bursting_cols.size:
+            bursting_lut = active_col_lut & ~predicted_lut
+            matching = self._rows(self.matching_segments)
+            matching = matching[bursting_lut[self.seg_cells[matching] // cpc]]
+            matching_cols = self.seg_cells[matching] // cpc
+            order = np.lexsort((-self.seg_potential[matching], matching_cols))
+            matched_cols, first = np.unique(matching_cols[order], return_index=True)
+            best = matching[order[first]]
+            bursting_lut[matched_cols] = False
+            fresh_cols = np.flatnonzero(bursting_lut)
+            counts = self.cell_segment_counts.reshape(-1, cpc)[fresh_cols]
+            fresh = fresh_cols * cpc + np.argmin(counts, axis=1)
         burst_winners = np.concatenate([self.seg_cells[best], fresh])
 
         if learn:

@@ -94,6 +94,14 @@ def test_malformed_payload_raises_snapshot_error(payload):
         GridModel.from_bytes(blob)
 
 
+def test_units_must_fill_the_grid():
+    state = GridModel(build_grid_config((36, 36), (12, 12))).state_dict()
+    state["units"][1] = state["units"][1][:2]
+    blob = snapshot.pack(SNAPSHOT_KIND, SNAPSHOT_VERSION, state)
+    with pytest.raises(SnapshotError, match="3x3 grid"):
+        GridModel.from_bytes(blob)
+
+
 def test_fresh_model_round_trips_byte_for_byte():
     # A fresh model's step arrays share one empty array; the reload keeps
     # that sharing, so it pickles to the same bytes.
