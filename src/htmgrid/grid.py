@@ -151,6 +151,19 @@ class CellUnit:
         return result.anomaly_score, result.predictive_column_count, entered
 
 
+def _load_unit(sp_state: dict, tm_state: dict, history, prev_empty: list) -> CellUnit:
+    sp = SpatialPooler.__new__(SpatialPooler)
+    sp.load_state_dict(sp_state)
+    tm = TemporalMemory.__new__(TemporalMemory)
+    tm.load_state_dict(tm_state)
+    unit = CellUnit.__new__(CellUnit)
+    unit.sp = sp
+    unit.tm = tm
+    unit.history = [Sdr(sp.params.column_count, active) for active in history]
+    unit.prev_empty = prev_empty
+    return unit
+
+
 def derive_cell_seeds(grid_seed: int, coord: tuple[int, int]) -> tuple[int, int]:
     """Deterministic (sp_seed, tm_seed) for one cell of the grid."""
     sp_seed = np.random.SeedSequence([grid_seed, coord[0], coord[1], 0])
@@ -259,42 +272,31 @@ class GridModel:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore from ``state``; raises ``SnapshotError`` if it is not a grid model."""
+        """Restore from ``state``; raises ``SnapshotError`` if it is not a grid model.
+
+        Only reads of the payload's structure are checked here; the model is
+        left unchanged unless every unit loads.
+        """
         try:
-            self._load_state(state)
+            config: GridConfig = state["config"]
+            grows, gcols = config.encoder.grid_shape
+            frame_counter = int(state["frame_counter"])
+            agg_history = [float(v) for v in state["agg_history"]]
+            unit_states = [
+                [(u["sp"], u["tm"], list(u["history"]), list(u["prev_empty"]))
+                 for u in row]
+                for row in state["units"]
+            ]
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
             raise SnapshotError(f"snapshot payload is not a grid model: {exc!r}") from exc
-
-    def _load_state(self, state: dict) -> None:
-        config: GridConfig = state["config"]
-        self.config = config
-        self.grid_shape = config.encoder.grid_shape
-        self.frame_counter = int(state["frame_counter"])
-        self._agg_history = deque(
-            [float(v) for v in state["agg_history"]], maxlen=config.smoothing_window
-        )
-        self.units = []
-        views: dict = {}
-        for r, row_state in enumerate(state["units"]):
-            row = []
-            for c, unit_state in enumerate(row_state):
-                sp = SpatialPooler.__new__(SpatialPooler)
-                sp.load_state_dict(unit_state["sp"])
-                tm = TemporalMemory.__new__(TemporalMemory)
-                tm.load_state_dict(unit_state["tm"], views)
-                unit = CellUnit.__new__(CellUnit)
-                unit.sp = sp
-                unit.tm = tm
-                width = sp.params.column_count
-                unit.history = [
-                    Sdr(width, active) for active in unit_state["history"]
-                ]
-                unit.prev_empty = list(unit_state["prev_empty"])
-                row.append(unit)
-            self.units.append(row)
-        grows, gcols = self.grid_shape
-        if [len(row) for row in self.units] != [gcols] * grows:
+        if [len(row) for row in unit_states] != [gcols] * grows:
             raise SnapshotError(f"snapshot units do not fill its {grows}x{gcols} grid")
+        units = [[_load_unit(*parts) for parts in row] for row in unit_states]
+        self.config = config
+        self.grid_shape = (grows, gcols)
+        self.frame_counter = frame_counter
+        self._agg_history = deque(agg_history, maxlen=config.smoothing_window)
+        self.units = units
 
     def to_bytes(self) -> bytes:
         return snapshot.pack(SNAPSHOT_KIND, SNAPSHOT_VERSION, self.state_dict())

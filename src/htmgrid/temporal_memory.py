@@ -386,9 +386,8 @@ class TemporalMemory:
             },
         }
 
-    def load_state_dict(self, state: dict, views: dict | None = None) -> None:
+    def load_state_dict(self, state: dict) -> None:
         """Fill the store from ``state``; segment arrays are copied, not kept."""
-        views = {} if views is None else views
         self.params = TmParams(**state["params"])
         self.total_cells = self.params.column_count * self.params.cells_per_column
         segments = sorted(state["segments"], key=lambda rec: rec["id"])
@@ -414,10 +413,10 @@ class TemporalMemory:
         self.rng = np.random.default_rng(0)
         self.rng.bit_generator.state = state["rng_state"]
         self.step_count = int(state["step_count"])
-        # Step arrays are replaced each step, never written in place, so
-        # they need no copy.  ``views``, one dict for all units of a model,
-        # holds one int64 view per loaded array, so arrays the state shares
-        # stay shared and a reloaded model pickles to the same bytes.
+        # Step arrays are never written in place, so they are kept and arrays
+        # the state shares stay shared.  Unpickled arrays carry an equal copy of
+        # numpy's int64 dtype; numpy's own keeps a reload's pickle byte-identical.
         for name in _STEP:
-            value = np.asarray(state[name], dtype=np.int64)
-            setattr(self, name, views.setdefault(id(state[name]), value))
+            value = np.asarray(state[name]).astype(np.int64, copy=False)
+            value.dtype = np.dtype(np.int64)
+            setattr(self, name, value)

@@ -102,6 +102,21 @@ def test_units_must_fill_the_grid():
         GridModel.from_bytes(blob)
 
 
+def test_failed_load_leaves_the_model_unchanged():
+    model = GridModel(build_grid_config((24, 24), (12, 12)))
+    model.step([np.zeros((24, 24), dtype=np.uint8)])
+    before = model.to_bytes()
+    other = GridModel(build_grid_config((36, 36), (12, 12))).state_dict()
+    short = dict(other, units=other["units"][:2])
+    with pytest.raises(SnapshotError, match="3x3 grid"):
+        model.load_state_dict(short)
+    # A unit's own loader fails with its own error, after earlier units loaded.
+    del other["units"][2][2]["tm"]["segments"]
+    with pytest.raises(KeyError, match="segments"):
+        model.load_state_dict(other)
+    assert model.to_bytes() == before
+
+
 def test_fresh_model_round_trips_byte_for_byte():
     # A fresh model's step arrays share one empty array; the reload keeps
     # that sharing, so it pickles to the same bytes.
