@@ -8,12 +8,12 @@ reports them together, so a bad file fails once with the full list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 from .aggregation import AggregationKind
-from .encoder import EncoderConfig
 from .errors import ConfigError
-from .grid import CellOverride, GridConfig, derive_cell_seeds
+from .grid import CellOverride, GridConfig, build_grid_config
 from .scenario import (
     FrameRepeat,
     FrameSkip,
@@ -29,33 +29,8 @@ from .temporal_memory import TmParams
 
 __all__ = ["RunConfig", "parse_kv_text", "parse_run_config", "parse_scenario_config"]
 
-_SP_FIELDS = {
-    "column_count": int,
-    "active_columns": int,
-    "potential_fraction": float,
-    "connected_threshold": float,
-    "permanence_increment": float,
-    "permanence_decrement": float,
-    "stimulus_threshold": int,
-    "boosting_enabled": bool,
-    "boost_strength": float,
-    "seed": int,
-}
-
-_TM_FIELDS = {
-    "cells_per_column": int,
-    "max_segments_per_cell": int,
-    "max_synapses_per_segment": int,
-    "initial_permanence": float,
-    "connected_threshold": float,
-    "permanence_increment": float,
-    "permanence_decrement": float,
-    "predicted_decrement": float,
-    "activation_threshold": int,
-    "min_threshold": int,
-    "new_synapse_count": int,
-    "seed": int,
-}
+# The width the grid wires into each part, which no key sets.
+_WIRED = {SpParams: "input_width", TmParams: "column_count"}
 
 
 @dataclass
@@ -158,17 +133,23 @@ def _parse_aggregation(value: str) -> AggregationKind:
     raise ValueError(f"expected one of {names}, got {value!r}")
 
 
-def _field_parser(kinds: dict, prefix: str):
-    def parse_fields(reader: _Reader) -> dict:
-        out = {}
-        for name, typ in kinds.items():
-            parse = _parse_bool if typ is bool else typ
-            value = reader.take(f"{prefix}.{name}", parse)
-            if value is not None:
-                out[name] = value
-        return out
+def _take_params(reader: _Reader, params_cls, prefix: str, seed: bool = False) -> dict:
+    """Take ``prefix.<field>`` keys for the fields of ``params_cls`` a file may set.
 
-    return parse_fields
+    The wired width is never a key, and ``seed`` is one only where ``seed``
+    is true.
+    """
+    skip = (_WIRED[params_cls], None if seed else "seed")
+    types = get_type_hints(params_cls)
+    out = {}
+    for f in fields(params_cls):
+        if f.name in skip:
+            continue
+        parse = _parse_bool if types[f.name] is bool else types[f.name]
+        value = reader.take(f"{prefix}.{f.name}", parse)
+        if value is not None:
+            out[f.name] = value
+    return out
 
 
 def parse_scenario_config(text: str, overrides=None) -> Scenario:
@@ -250,37 +231,31 @@ def parse_scenario_config(text: str, overrides=None) -> Scenario:
     )
 
 
-def _collect_cell_overrides(reader: _Reader, default_sp: SpParams,
-                            default_tm: TmParams, grid_seed: int) -> dict:
-    """Build per-cell parameter overrides from cell.R.C.* keys.
+def _cell_overrides(reader: _Reader, grid: GridConfig) -> dict:
+    """Per-cell parameters from cell.R.C.{sp,tm}.* keys.
 
-    Fields not named in the file keep the defaults, including the
-    cell-derived seed unless an explicit seed is given.
+    An overridden cell gets both parts: its fields over the defaults, the
+    cell-derived seeds unless a seed is given, and a TM width that follows
+    its SP.
     """
     coords = set()
     for key in list(reader.raw):
         parts = key.split(".")
         if len(parts) >= 5 and parts[0] == "cell":
-            try:
+            if parts[1].isdigit() and parts[2].isdigit():
                 coords.add((int(parts[1]), int(parts[2])))
-            except ValueError:
+            else:
                 reader.errors.append(f"bad cell override coordinate in {key!r}")
                 reader.raw.pop(key)
     overrides = {}
     for coord in sorted(coords):
         r, c = coord
-        sp_seed, tm_seed = derive_cell_seeds(grid_seed, coord)
-        sp_fields = _field_parser(_SP_FIELDS, f"cell.{r}.{c}.sp")(reader)
-        tm_fields = _field_parser(_TM_FIELDS, f"cell.{r}.{c}.tm")(reader)
-        sp = None
-        tm = None
-        if sp_fields:
-            sp_fields.setdefault("seed", sp_seed)
-            sp = replace(default_sp, **sp_fields)
-        if tm_fields:
-            tm_fields.setdefault("seed", tm_seed)
-            tm = replace(default_tm, **tm_fields)
-        if sp is not None or tm is not None:
+        sp_fields = _take_params(reader, SpParams, f"cell.{r}.{c}.sp", seed=True)
+        tm_fields = _take_params(reader, TmParams, f"cell.{r}.{c}.tm", seed=True)
+        if sp_fields or tm_fields:
+            sp, tm = grid.cell_params(coord)
+            sp = replace(sp, **sp_fields)
+            tm = replace(tm, column_count=sp.column_count * grid.multistep_n, **tm_fields)
             overrides[coord] = CellOverride(sp=sp, tm=tm)
     return overrides
 
@@ -313,47 +288,29 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
     multistep_n = reader.take("grid.multistep_n", int, default=2)
     suppression = reader.take("grid.suppression_enabled", _parse_bool, default=True)
 
-    sp_fields = _field_parser(_SP_FIELDS, "sp")(reader)
-    tm_fields = _field_parser(_TM_FIELDS, "tm")(reader)
+    sp_fields = _take_params(reader, SpParams, "sp")
+    tm_fields = _take_params(reader, TmParams, "tm")
 
     if frame_size is None or cell_size is None:
         reader.finish("run")
-    encoder = EncoderConfig(
-        frame_size=frame_size,
-        cell_size=cell_size,
-        class_count=class_count,
-        min_sparsity=min_sparsity,
-        empty_pattern_sparsity=empty_sparsity,
-        seed=encoder_seed,
-    )
-    sp_fields.setdefault("column_count", 128)
-    sp_fields.setdefault("active_columns", 8)
-    default_sp = SpParams(
-        input_width=encoder.cell_bits * class_count,
-        **sp_fields,
-    )
-    default_tm = TmParams(
-        column_count=default_sp.column_count * max(multistep_n, 1),
-        **tm_fields,
-    )
-    overrides = _collect_cell_overrides(reader, default_sp, default_tm, grid_seed)
-    # Override TM widths track the owning cell's SP width and the multistep factor.
-    fixed = {}
-    for coord, override in overrides.items():
-        sp = override.sp if override.sp is not None else default_sp
-        tm = override.tm if override.tm is not None else default_tm
-        tm = replace(tm, column_count=sp.column_count * max(multistep_n, 1))
-        fixed[coord] = CellOverride(sp=override.sp, tm=tm)
-    grid = GridConfig(
-        encoder=encoder,
-        default_sp=default_sp,
-        default_tm=default_tm,
+    grid = build_grid_config(
+        frame_size,
+        cell_size,
+        class_count,
         multistep_n=multistep_n,
-        suppression_enabled=suppression,
-        per_cell_overrides=fixed,
         seed=grid_seed,
+        suppression_enabled=suppression,
         aggregation=aggregation,
         smoothing_window=smoothing_window,
+        min_sparsity=min_sparsity,
+        empty_pattern_sparsity=empty_sparsity,
+        sp_kwargs=sp_fields,
+        tm_kwargs=tm_fields,
+    )
+    grid = replace(
+        grid,
+        encoder=replace(grid.encoder, seed=encoder_seed),
+        per_cell_overrides=_cell_overrides(reader, grid),
     )
     reader.errors.extend(grid.problems())
     if calibration is not None and calibration < 0:

@@ -69,41 +69,36 @@ class GridConfig:
             out.append(f"multistep_n must be >= 1, got {self.multistep_n}")
         if self.smoothing_window < 1:
             out.append(f"smoothing_window must be >= 1, got {self.smoothing_window}")
-        expected_input = self.encoder.cell_bits * self.encoder.class_count
-        if self.default_sp.input_width != expected_input:
-            out.append(
-                f"sp input_width {self.default_sp.input_width} != cell bits x "
-                f"classes ({expected_input})"
-            )
-        out.extend(self.default_sp.problems())
-        expected_tm_cols = self.default_sp.column_count * self.multistep_n
-        if self.default_tm.column_count != expected_tm_cols:
-            out.append(
-                f"tm column_count {self.default_tm.column_count} != sp columns x "
-                f"multistep_n ({expected_tm_cols})"
-            )
-        out.extend(self.default_tm.problems())
         grows, gcols = self.encoder.grid_shape
-        for coord, override in self.per_cell_overrides.items():
+        pairs = {(self.default_sp, self.default_tm): "default"}
+        for coord in self.per_cell_overrides:
             r, c = coord
             if not (0 <= r < grows and 0 <= c < gcols):
                 out.append(f"override coordinate {coord} outside grid {grows}x{gcols}")
-                continue
-            sp = override.sp if override.sp is not None else self.default_sp
-            tm = override.tm if override.tm is not None else self.default_tm
-            if sp.input_width != expected_input:
+            else:
+                pairs.setdefault(self.cell_params(coord), f"cell {coord}")
+        input_width = self.encoder.cell_bits * self.encoder.class_count
+        for (sp, tm), where in pairs.items():
+            if sp.input_width != input_width:
                 out.append(
-                    f"override {coord}: sp input_width {sp.input_width} != "
-                    f"{expected_input}"
+                    f"{where}: sp input_width {sp.input_width} != cell bits x "
+                    f"classes ({input_width})"
                 )
             if tm.column_count != sp.column_count * self.multistep_n:
                 out.append(
-                    f"override {coord}: tm column_count {tm.column_count} != "
-                    f"sp columns x multistep_n ({sp.column_count * self.multistep_n})"
+                    f"{where}: tm column_count {tm.column_count} != sp columns x "
+                    f"multistep_n ({sp.column_count * self.multistep_n})"
                 )
             out.extend(sp.problems())
             out.extend(tm.problems())
         return out
+
+    def cell_params(self, coord: tuple[int, int]) -> tuple[SpParams, TmParams]:
+        """Cell ``coord``'s parameters: its override, else the defaults with its seeds."""
+        override = self.per_cell_overrides.get(coord, CellOverride())
+        sp_seed, tm_seed = derive_cell_seeds(self.seed, coord)
+        return (override.sp or replace(self.default_sp, seed=sp_seed),
+                override.tm or replace(self.default_tm, seed=tm_seed))
 
     def validate(self) -> None:
         problems = self.problems()
@@ -171,20 +166,6 @@ def derive_cell_seeds(grid_seed: int, coord: tuple[int, int]) -> tuple[int, int]
     return int(sp_seed.generate_state(1)[0]), int(tm_seed.generate_state(1)[0])
 
 
-def _derived_params(config: GridConfig, coord: tuple[int, int]) -> tuple[SpParams, TmParams]:
-    override = config.per_cell_overrides.get(coord)
-    sp_seed, tm_seed = derive_cell_seeds(config.seed, coord)
-    if override is not None and override.sp is not None:
-        sp = override.sp
-    else:
-        sp = replace(config.default_sp, seed=sp_seed)
-    if override is not None and override.tm is not None:
-        tm = override.tm
-    else:
-        tm = replace(config.default_tm, seed=tm_seed)
-    return sp, tm
-
-
 class GridModel:
     """Stateful frame-by-frame anomaly detector over a cell grid."""
 
@@ -197,7 +178,7 @@ class GridModel:
         for r in range(grows):
             row = []
             for c in range(gcols):
-                sp_params, tm_params = _derived_params(config, (r, c))
+                sp_params, tm_params = config.cell_params((r, c))
                 row.append(
                     CellUnit(
                         SpatialPooler(sp_params),
@@ -274,12 +255,15 @@ class GridModel:
     def load_state_dict(self, state: dict) -> None:
         """Restore from ``state``; raises ``SnapshotError`` if it is not a grid model.
 
-        Only reads of the payload's structure are checked here; the model is
-        left unchanged unless every unit loads.
+        Only reads of the payload's structure, its config's problems and each
+        unit's widths are checked here; the model is left unchanged unless
+        every unit loads.
         """
         try:
             config: GridConfig = state["config"]
             grows, gcols = config.encoder.grid_shape
+            problems = config.problems()
+            input_width = config.encoder.cell_bits * config.encoder.class_count
             frame_counter = int(state["frame_counter"])
             agg_history = [float(v) for v in state["agg_history"]]
             unit_states = [
@@ -287,10 +271,23 @@ class GridModel:
                  for u in row]
                 for row in state["units"]
             ]
+            misfits = [
+                (r, c)
+                for r, row in enumerate(unit_states)
+                for c, (sp, tm, _, _) in enumerate(row)
+                if (sp["params"]["input_width"], tm["params"]["column_count"])
+                != (input_width, sp["params"]["column_count"] * config.multistep_n)
+            ]
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
             raise SnapshotError(f"snapshot payload is not a grid model: {exc!r}") from exc
+        if problems:
+            raise SnapshotError(f"snapshot config is invalid: {'; '.join(problems)}")
         if [len(row) for row in unit_states] != [gcols] * grows:
             raise SnapshotError(f"snapshot units do not fill its {grows}x{gcols} grid")
+        if misfits:
+            raise SnapshotError(
+                f"snapshot unit {misfits[0]} widths do not match its config"
+            )
         units = [[_load_unit(*parts) for parts in row] for row in unit_states]
         self.config = config
         self.grid_shape = (grows, gcols)
@@ -336,7 +333,11 @@ def build_grid_config(
     tm_kwargs: dict | None = None,
     per_cell_overrides: dict | None = None,
 ) -> GridConfig:
-    """Wire a consistent configuration from the frame geometry outward."""
+    """Wire a consistent configuration from the frame geometry outward.
+
+    ``sp_kwargs`` may also set ``column_count`` and ``active_columns``, over
+    ``sp_columns`` and ``sp_active``; the TM width follows the SP's.
+    """
     encoder = EncoderConfig(
         frame_size=tuple(frame_size),
         cell_size=tuple(cell_size),
@@ -347,11 +348,9 @@ def build_grid_config(
     )
     sp = SpParams(
         input_width=encoder.cell_bits * class_count,
-        column_count=sp_columns,
-        active_columns=sp_active,
-        **(sp_kwargs or {}),
+        **{"column_count": sp_columns, "active_columns": sp_active, **(sp_kwargs or {})},
     )
-    tm = TmParams(column_count=sp_columns * multistep_n, **(tm_kwargs or {}))
+    tm = TmParams(column_count=sp.column_count * multistep_n, **(tm_kwargs or {}))
     return GridConfig(
         encoder=encoder,
         default_sp=sp,

@@ -48,6 +48,10 @@ def _read_header(data: bytes, magic: bytes):
             pos += 1
         if start == pos:
             raise ContractError("truncated image header")
+        # At most 9 digits: int() would take signs and underscores, and
+        # raise ValueError on other bytes or on thousands of digits.
+        if not data[start:pos].isdigit() or pos - start > 9:
+            raise ContractError(f"bad image size {data[start:pos][:12]!r}")
         tokens.append(int(data[start:pos]))
     return tokens, pos
 
@@ -93,7 +97,7 @@ def read_ppm(path) -> np.ndarray:
     (cols, rows), pos = _read_header(data, b"P6")
     # maxval token follows the dimensions.
     tail = data[pos:]
-    match = re.match(rb"\s*(\d+)\s", tail)
+    match = re.match(rb"\s*(\d{1,9})\s", tail)
     if not match:
         raise ContractError(f"missing maxval in {path}")
     if int(match.group(1)) != 255:

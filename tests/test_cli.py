@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from htmgrid import GridModel, snapshot
+from htmgrid import GridModel, SnapshotError, runner, snapshot
 from htmgrid.cli import main
 from htmgrid.config import parse_run_config
 from htmgrid.grid import SNAPSHOT_KIND, SNAPSHOT_VERSION
@@ -210,6 +210,22 @@ def test_stream_frame_size_mismatch_fails(tmp_path, stream_dir, capsys):
     assert not os.path.exists(tmp_path / "m.csv")
     assert not os.path.exists(tmp_path / "m_heat")
     assert not os.path.exists(tmp_path / "m.snap")
+
+
+def test_resume_with_mismatched_unit_widths_writes_nothing(tmp_path, stream_dir):
+    grid = parse_run_config(run_config_text(stream_dir, "unused")).grid
+    state = GridModel(grid).state_dict()
+    state["units"][0][0]["tm"]["params"]["column_count"] = 7
+    snap = tmp_path / "bad.snap"
+    snap.write_bytes(snapshot.pack(SNAPSHOT_KIND, SNAPSHOT_VERSION, state))
+    run_config = parse_run_config(
+        run_config_text(stream_dir, tmp_path / "w") + f"resume = {snap}\n"
+    )
+    with pytest.raises(SnapshotError, match="widths"):
+        runner.run(run_config)
+    assert not os.path.exists(tmp_path / "w.csv")
+    assert not os.path.exists(tmp_path / "w_heat")
+    assert not os.path.exists(tmp_path / "w.snap")
 
 
 def test_stats_bad_cell_argument(tmp_path, stream_dir, capsys):

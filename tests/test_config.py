@@ -1,6 +1,17 @@
+import re
+from dataclasses import fields, replace
+
 import pytest
 
-from htmgrid import AggregationKind, ConfigError, derive_cell_seeds
+from htmgrid import (
+    AggregationKind,
+    CellOverride,
+    ConfigError,
+    GridModel,
+    SpParams,
+    TmParams,
+    derive_cell_seeds,
+)
 from htmgrid.config import (
     apply_overrides,
     build_run_config,
@@ -109,9 +120,11 @@ def test_invalid_values_enumerated_together():
             sp.active_columns = 0
             workers = 0
             smoothing_window = -1
+            cell.-1.0.sp.column_count = 64
             """
         )
     message = str(excinfo.value)
+    assert "bad cell override coordinate in 'cell.-1.0.sp.column_count'" in message
     assert "multiple" in message  # frame not divisible by cell
     assert "active_columns" in message
     assert "workers" in message
@@ -124,14 +137,60 @@ def test_cell_override_keeps_derived_seed():
         + """
         grid.seed = 7
         cell.1.2.sp.column_count = 64
+        cell.0.0.sp.permanence_increment = 0.1
+        cell.2.1.tm.cells_per_column = 4
         """
     )
-    override = run.grid.per_cell_overrides[(1, 2)]
-    sp_seed, _ = derive_cell_seeds(7, (1, 2))
+    overrides = run.grid.per_cell_overrides
+    override = overrides[(1, 2)]
+    sp_seed, tm_seed = derive_cell_seeds(7, (1, 2))
     assert override.sp.column_count == 64
     assert override.sp.seed == sp_seed
     # tm width follows the override's sp width
     assert override.tm.column_count == 64 * 2
+    # an override of one part keeps the other part's derived seed
+    assert override.tm.seed == tm_seed
+    assert overrides[(0, 0)].tm.seed == derive_cell_seeds(7, (0, 0))[1]
+    assert overrides[(2, 1)].sp.seed == derive_cell_seeds(7, (2, 1))[0]
+    model = GridModel(run.grid)
+    for coord in [(0, 0), (1, 2), (2, 1), (2, 2)]:
+        unit = model.unit(*coord)
+        assert (unit.sp.params.seed, unit.tm.params.seed) == derive_cell_seeds(7, coord)
+
+
+def _perturbed(params, names):
+    def bump(value):
+        if isinstance(value, bool):
+            return not value
+        return value + 1 if isinstance(value, int) else value / 2
+
+    return replace(params, **{name: bump(getattr(params, name)) for name in names})
+
+
+def test_parameter_keys_are_the_dataclass_fields():
+    sp_keys = [f.name for f in fields(SpParams) if f.name != "input_width"]
+    tm_keys = [f.name for f in fields(TmParams) if f.name != "column_count"]
+    sp = _perturbed(SpParams(input_width=144, column_count=64, active_columns=4), sp_keys)
+    tm = _perturbed(TmParams(column_count=sp.column_count * 2), tm_keys)
+
+    def lines(prefix, params, names):
+        return "".join(f"{prefix}.{name} = {getattr(params, name)}\n" for name in names)
+
+    run = parse_run_config(
+        MINIMAL_RUN
+        + lines("sp", sp, [k for k in sp_keys if k != "seed"])
+        + lines("tm", tm, [k for k in tm_keys if k != "seed"])
+        + lines("cell.0.0.sp", sp, sp_keys)
+        + lines("cell.0.0.tm", tm, tm_keys)
+    )
+    assert run.grid.default_sp == replace(sp, seed=0)
+    assert run.grid.default_tm == replace(tm, seed=0)
+    assert run.grid.per_cell_overrides == {(0, 0): CellOverride(sp=sp, tm=tm)}
+    # The wired widths are no keys, and a seed is one only per cell.
+    for key in ["sp.input_width", "tm.column_count", "sp.seed", "tm.seed",
+                "cell.0.0.sp.input_width", "cell.0.0.tm.column_count"]:
+        with pytest.raises(ConfigError, match=f"unknown run key '{re.escape(key)}'"):
+            parse_run_config(MINIMAL_RUN + f"{key} = 1\n")
 
 
 def test_cell_override_explicit_seed_wins():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from htmgrid import ContractError
 from htmgrid.imageio import (
@@ -29,6 +30,40 @@ def test_pbm_writes_are_byte_stable(tmp_path):
     write_pbm(a, plane)
     write_pbm(b, plane)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_pbm_non_numeric_size_rejected(tmp_path):
+    path = tmp_path / "mask.pbm"
+    for header in [b"P4\nab 12\n", b"P4\n-8 -8\n\xff", b"P4\n1_2 1\n" + bytes(24),
+                   b"P4\n1234567890 1\n"]:
+        path.write_bytes(header)
+        with pytest.raises(ContractError, match="image size"):
+            read_pbm(path)
+
+
+def test_ppm_overlong_maxval_rejected(tmp_path):
+    path = tmp_path / "heat.ppm"
+    path.write_bytes(b"P6\n1 1\n" + b"9" * 5000 + b" " + bytes(3))
+    with pytest.raises(ContractError, match="maxval"):
+        read_ppm(path)
+
+
+_PBM = b"P4\n# mask\n13 7\n" + bytes(range(7, 21))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(_PBM)), st.lists(st.integers(0, 8 * len(_PBM) - 1), max_size=4))
+def test_damaged_pbm_raises_only_contract_error(tmp_path_factory, cut, flips):
+    data = bytearray(_PBM)
+    for bit in flips:
+        data[bit // 8] ^= 1 << (bit % 8)
+    path = tmp_path_factory.getbasetemp() / "fuzz.pbm"
+    path.write_bytes(bytes(data[:cut]))
+    try:
+        plane = read_pbm(path)
+    except ContractError:
+        return
+    assert plane.dtype == np.uint8 and plane.ndim == 2
 
 
 def test_pbm_truncated_rejected(tmp_path):

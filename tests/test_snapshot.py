@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,24 @@ def test_fresh_model_round_trips_byte_for_byte():
     # that sharing, so it pickles to the same bytes.
     data = GridModel(build_grid_config((36, 36), (12, 12))).to_bytes()
     assert GridModel.from_bytes(data).to_bytes() == data
+
+
+def test_invalid_config_is_rejected_before_loading():
+    model = GridModel(build_grid_config((24, 24), (12, 12)))
+    before = model.to_bytes()
+    state = model.state_dict()
+    state["config"] = replace(state["config"], smoothing_window=0)
+    with pytest.raises(SnapshotError, match="config is invalid.*smoothing_window"):
+        model.load_state_dict(state)
+    assert model.to_bytes() == before
+
+
+@pytest.mark.parametrize("part, name", [("sp", "input_width"), ("tm", "column_count")])
+def test_unit_widths_must_match_the_config(part, name):
+    model = GridModel(build_grid_config((24, 24), (12, 12)))
+    before = model.to_bytes()
+    state = model.state_dict()
+    state["units"][1][0][part]["params"][name] = 7
+    with pytest.raises(SnapshotError, match=r"unit \(1, 0\) widths"):
+        model.load_state_dict(state)
+    assert model.to_bytes() == before
