@@ -7,7 +7,7 @@ from .aggregation import (
     aggregate_nonzero_mean,
     moving_average,
 )
-from .encoder import CellInput, EncoderConfig, active_pixel_stats, empty_pattern, encode_frame
+from .encoder import EncoderConfig, active_pixel_stats, empty_pattern, encode_frame
 from .errors import ConfigError, ContractError, SnapshotError
 from .grid import (
     CellOverride,
@@ -30,7 +30,7 @@ from .scenario import (
     generate,
     object_position,
 )
-from .sdr import Sdr, concatenate, from_bitmap_window, overlap
+from .sdr import Sdr, concatenate, overlap
 from .spatial_pooler import SpParams, SpatialPooler
 from .temporal_memory import TemporalMemory, TmParams, TmStepResult
 
@@ -38,7 +38,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregationKind",
-    "CellInput",
     "CellOverride",
     "ConfigError",
     "ContractError",
@@ -71,7 +70,6 @@ __all__ = [
     "emitted_frame_times",
     "empty_pattern",
     "encode_frame",
-    "from_bitmap_window",
     "generate",
     "moving_average",
     "object_position",

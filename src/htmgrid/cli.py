@@ -70,21 +70,21 @@ def cmd_snapshot_info(args) -> int:
 
 def cmd_stats(args) -> int:
     run_config = _load_run_config(args.config, args.set)
-    frames = list(open_stream(run_config))
     encoder = run_config.grid.encoder
     grows, gcols = encoder.grid_shape
+    coords = [(r, c) for r in range(grows) for c in range(gcols)]
     if args.cell:
         try:
             row, col = (int(v) for v in args.cell.split(","))
         except ValueError:
             raise ConfigError(f"--cell expects ROW,COL, got {args.cell!r}") from None
+        if (row, col) not in coords:
+            raise ConfigError(f"--cell {row},{col} is outside the {grows}x{gcols} grid")
         coords = [(row, col)]
-    else:
-        coords = [(r, c) for r in range(grows) for c in range(gcols)]
+    mean, std = active_pixel_stats(encoder, open_stream(run_config))
     print("cell_row,cell_col,mean,std")
-    for coord in coords:
-        mean, std = active_pixel_stats(encoder, frames, coord)
-        print(f"{coord[0]},{coord[1]},{mean:.4f},{std:.4f}")
+    for r, c in coords:
+        print(f"{r},{c},{mean[r, c]:.4f},{std[r, c]:.4f}")
     return 0
 
 

@@ -252,7 +252,8 @@ def _cell_overrides(reader: _Reader, grid: GridConfig) -> dict:
         r, c = coord
         sp_fields = _take_params(reader, SpParams, f"cell.{r}.{c}.sp", seed=True)
         tm_fields = _take_params(reader, TmParams, f"cell.{r}.{c}.tm", seed=True)
-        if sp_fields or tm_fields:
+        # A negative grid seed derives no seeds; problems() reports it.
+        if (sp_fields or tm_fields) and grid.seed >= 0:
             sp, tm = grid.cell_params(coord)
             sp = replace(sp, **sp_fields)
             tm = replace(tm, column_count=sp.column_count * grid.multistep_n, **tm_fields)

@@ -1,8 +1,9 @@
 """Per-cell encoding of binary mask frames.
 
 Each frame is a stack of class planes (one binary mask per object class).
-The frame is cut into fixed-size cells; each cell window becomes one SDR
-per class.  Two rules keep the per-cell sparsity usable downstream:
+The frame is cut into fixed-size cells; each cell's input is its class
+windows laid end to end.  Two rules keep the per-cell sparsity usable
+downstream:
 
 * the cell size itself bounds how many bits can be active (soft upper
   bound), and
@@ -13,15 +14,15 @@ per class.  Two rules keep the per-cell sparsity usable downstream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .sdr import Sdr, from_bitmap_window
+from .sdr import Sdr
 
-__all__ = ["EncoderConfig", "CellInput", "encode_frame", "empty_pattern", "active_pixel_stats"]
+__all__ = ["EncoderConfig", "encode_frame", "empty_pattern", "active_pixel_stats"]
 
 
 @dataclass(frozen=True)
@@ -78,25 +79,23 @@ class EncoderConfig:
         return self.cell_size[0] * self.cell_size[1]
 
 
-@dataclass
-class CellInput:
-    cell_coord: tuple[int, int]
-    per_class: list[Sdr]
-    was_empty: list[bool] = field(default_factory=list)
-
-
 @lru_cache(maxsize=128)
-def _empty_pattern_cached(seed: int, class_index: int, bits: int, k: int) -> Sdr:
-    rng = np.random.default_rng([seed, class_index])
-    active = np.sort(rng.choice(bits, size=k, replace=False)) if k else ()
-    return Sdr(bits, active)
+def _empty_windows(seed: int, class_count: int, bits: int, k: int) -> np.ndarray:
+    """Each class's empty pattern as one dense row; read-only, shared by every frame."""
+    out = np.zeros((class_count, bits), dtype=bool)
+    for class_index in range(class_count):
+        if k:
+            rng = np.random.default_rng([seed, class_index])
+            out[class_index, rng.choice(bits, size=k, replace=False)] = True
+    out.setflags(write=False)
+    return out
 
 
 def empty_pattern(config: EncoderConfig, class_index: int) -> Sdr:
     """The fixed emptiness SDR for one class; shared by every cell and frame."""
     bits = config.cell_bits
     k = min(config.empty_pattern_sparsity, bits)
-    return _empty_pattern_cached(config.seed, class_index, bits, k)
+    return Sdr.from_dense(_empty_windows(config.seed, class_index + 1, bits, k)[class_index])
 
 
 def check_planes(config: EncoderConfig, planes) -> list[np.ndarray]:
@@ -116,59 +115,34 @@ def check_planes(config: EncoderConfig, planes) -> list[np.ndarray]:
     return out
 
 
-def encode_frame(config: EncoderConfig, planes) -> list[list[CellInput]]:
-    """Encode one frame into a grid of per-cell, per-class SDRs."""
-    config.validate()
-    arrs = check_planes(config, planes)
-    cr, cc = config.cell_size
-    grows, gcols = config.grid_shape
-    patterns = [empty_pattern(config, k) for k in range(config.class_count)]
-    grid: list[list[CellInput]] = []
-    for gr in range(grows):
-        row = []
-        for gc in range(gcols):
-            per_class = []
-            was_empty = []
-            for k, arr in enumerate(arrs):
-                window = arr[gr * cr : (gr + 1) * cr, gc * cc : (gc + 1) * cc]
-                count = int(np.count_nonzero(window))
-                if count < config.min_sparsity:
-                    per_class.append(patterns[k])
-                    was_empty.append(True)
-                else:
-                    per_class.append(
-                        from_bitmap_window(arr, (gr * cr, gc * cc), (cr, cc))
-                    )
-                    was_empty.append(False)
-            row.append(CellInput((gr, gc), per_class, was_empty))
-        grid.append(row)
-    return grid
+def encode_frame(config: EncoderConfig, planes) -> tuple[np.ndarray, np.ndarray]:
+    """Encode one frame into every cell's input bits.
 
-
-def active_pixel_stats(config: EncoderConfig, frames, cell_coord) -> tuple[float, float]:
-    """Mean and population std of post-substitution active counts for one cell.
-
-    Counts are summed over class planes.  This is the measurement a user
-    needs when tuning cell size and the empty-pattern sparsity.
+    Returns ``(bits, empty)``.  ``bits[r, c]`` holds cell ``(r, c)``'s class
+    windows end to end, each row-major, with the empty pattern in place of a
+    window that has fewer than ``min_sparsity`` active pixels;
+    ``empty[r, c, k]`` says whether window ``k`` was replaced.
     """
     config.validate()
-    gr, gc = cell_coord
-    grows, gcols = config.grid_shape
-    if not (0 <= gr < grows and 0 <= gc < gcols):
-        raise ContractError(f"cell {cell_coord} outside grid {grows}x{gcols}")
-    cr, cc = config.cell_size
-    counts = []
-    for planes in frames:
-        arrs = check_planes(config, planes)
-        total = 0
-        for arr in arrs:
-            window = arr[gr * cr : (gr + 1) * cr, gc * cc : (gc + 1) * cc]
-            count = int(np.count_nonzero(window))
-            if count < config.min_sparsity:
-                count = config.empty_pattern_sparsity
-            total += count
-        counts.append(total)
+    stacked = np.stack(check_planes(config, planes)) != 0
+    classes = config.class_count
+    (grows, gcols), (cr, cc) = config.grid_shape, config.cell_size
+    windows = stacked.reshape(classes, grows, cr, gcols, cc).transpose(1, 3, 0, 2, 4)
+    windows = windows.reshape(grows, gcols, classes, cr * cc)
+    empty = np.count_nonzero(windows, axis=3) < config.min_sparsity
+    patterns = _empty_windows(config.seed, classes, cr * cc, config.empty_pattern_sparsity)
+    bits = np.where(empty[..., None], patterns, windows)
+    return bits.reshape(grows, gcols, classes * cr * cc), empty
+
+
+def active_pixel_stats(config: EncoderConfig, frames) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell mean and population std of the active bits ``encode_frame`` gives.
+
+    Counts are summed over class planes, after empty-pattern substitution;
+    both arrays have the grid's shape.  This is the measurement a user needs
+    when tuning cell size and the empty-pattern sparsity.
+    """
+    counts = [np.count_nonzero(encode_frame(config, planes)[0], axis=2) for planes in frames]
     if not counts:
         raise ContractError("active_pixel_stats requires at least one frame")
-    arr = np.asarray(counts, dtype=np.float64)
-    return float(np.mean(arr)), float(np.std(arr))
+    return np.mean(counts, axis=0), np.std(counts, axis=0)

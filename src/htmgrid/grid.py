@@ -3,7 +3,7 @@
 Each frame cell runs its own pipeline so activity in one part of the frame
 can never change what counts as normal elsewhere.  Per cell and frame:
 
-1. encode the cell windows (one SDR per class) and concatenate them,
+1. encode the frame: each cell's class windows laid end to end,
 2. spatial pooling,
 3. push the pooled output into a short history ring and feed the
    concatenated history to the sequence memory, so "moving" and "standing
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .aggregation import AggregationKind, aggregate
-from .encoder import CellInput, EncoderConfig, encode_frame
+from .encoder import EncoderConfig, encode_frame
 from .errors import ConfigError, SnapshotError
 from .sdr import Sdr, concatenate
 from .spatial_pooler import SpParams, SpatialPooler
@@ -69,13 +69,15 @@ class GridConfig:
             out.append(f"multistep_n must be >= 1, got {self.multistep_n}")
         if self.smoothing_window < 1:
             out.append(f"smoothing_window must be >= 1, got {self.smoothing_window}")
+        if self.seed < 0:
+            out.append(f"grid seed must be non-negative, got {self.seed}")
         grows, gcols = self.encoder.grid_shape
         pairs = {(self.default_sp, self.default_tm): "default"}
         for coord in self.per_cell_overrides:
             r, c = coord
             if not (0 <= r < grows and 0 <= c < gcols):
                 out.append(f"override coordinate {coord} outside grid {grows}x{gcols}")
-            else:
+            elif self.seed >= 0:  # cell_params derives seeds from it
                 pairs.setdefault(self.cell_params(coord), f"cell {coord}")
         input_width = self.encoder.cell_bits * self.encoder.class_count
         for (sp, tm), where in pairs.items():
@@ -123,30 +125,23 @@ class FrameResult:
 
 
 class CellUnit:
-    __slots__ = ("sp", "tm", "history", "prev_empty")
+    __slots__ = ("sp", "tm", "history")
 
-    def __init__(self, sp: SpatialPooler, tm: TemporalMemory, multistep_n: int,
-                 class_count: int):
+    def __init__(self, sp: SpatialPooler, tm: TemporalMemory, multistep_n: int):
         self.sp = sp
         self.tm = tm
         width = sp.params.column_count
         self.history: list[Sdr] = [Sdr(width) for _ in range(multistep_n)]
-        self.prev_empty = [False] * class_count
 
-    def step(self, cell_input: CellInput, learn: bool) -> tuple[float, int, bool]:
-        sp_out = self.sp.compute(concatenate(cell_input.per_class), learn)
+    def step(self, bits: np.ndarray, learn: bool) -> tuple[float, int]:
+        sp_out = self.sp.compute(Sdr.from_dense(bits), learn)
         self.history.pop(0)
         self.history.append(sp_out)
         result = self.tm.compute(concatenate(self.history), learn)
-        entered = any(
-            prev and not cur
-            for prev, cur in zip(self.prev_empty, cell_input.was_empty)
-        )
-        self.prev_empty = list(cell_input.was_empty)
-        return result.anomaly_score, result.predictive_column_count, entered
+        return result.anomaly_score, result.predictive_column_count
 
 
-def _load_unit(sp_state: dict, tm_state: dict, history, prev_empty: list) -> CellUnit:
+def _load_unit(sp_state: dict, tm_state: dict, history) -> CellUnit:
     sp = SpatialPooler.__new__(SpatialPooler)
     sp.load_state_dict(sp_state)
     tm = TemporalMemory.__new__(TemporalMemory)
@@ -155,7 +150,6 @@ def _load_unit(sp_state: dict, tm_state: dict, history, prev_empty: list) -> Cel
     unit.sp = sp
     unit.tm = tm
     unit.history = [Sdr(sp.params.column_count, active) for active in history]
-    unit.prev_empty = prev_empty
     return unit
 
 
@@ -179,15 +173,11 @@ class GridModel:
             row = []
             for c in range(gcols):
                 sp_params, tm_params = config.cell_params((r, c))
-                row.append(
-                    CellUnit(
-                        SpatialPooler(sp_params),
-                        TemporalMemory(tm_params),
-                        config.multistep_n,
-                        config.encoder.class_count,
-                    )
-                )
+                row.append(CellUnit(SpatialPooler(sp_params), TemporalMemory(tm_params),
+                                    config.multistep_n))
             self.units.append(row)
+        # Which class windows of each cell held the empty pattern last frame.
+        self.prev_empty = np.zeros((grows, gcols, config.encoder.class_count), dtype=bool)
         self.frame_counter = 0
         self._agg_history: deque[float] = deque(maxlen=config.smoothing_window)
 
@@ -200,22 +190,18 @@ class GridModel:
         ``workers`` is accepted for compatibility and does not change how
         cells run.
         """
-        encoded = encode_frame(self.config.encoder, planes)
+        bits, empty = encode_frame(self.config.encoder, planes)
         grows, gcols = self.grid_shape
         raw = np.zeros(self.grid_shape, dtype=np.float64)
         certainty = np.zeros(self.grid_shape, dtype=np.int64)
-        reported = np.zeros(self.grid_shape, dtype=np.float64)
         for r in range(grows):
             for c in range(gcols):
-                score, predictions, entered = self.units[r][c].step(
-                    encoded[r][c], learn
-                )
-                raw[r, c] = score
-                certainty[r, c] = predictions
-                if self.config.suppression_enabled and entered:
-                    reported[r, c] = 0.0
-                else:
-                    reported[r, c] = score
+                raw[r, c], certainty[r, c] = self.units[r][c].step(bits[r, c], learn)
+        # A cell whose class window turns from empty to occupied has no
+        # predictable first frame; its reported score is zeroed.
+        entered = np.any(self.prev_empty & ~empty, axis=2)
+        self.prev_empty = empty
+        reported = np.where(self.config.suppression_enabled & entered, 0.0, raw)
 
         agg = aggregate(self.config.aggregation, reported.reshape(-1))
         self._agg_history.append(agg)
@@ -244,11 +230,11 @@ class GridModel:
                         "sp": unit.sp.state_dict(),
                         "tm": unit.tm.state_dict(),
                         "history": [sdr.active for sdr in unit.history],
-                        "prev_empty": list(unit.prev_empty),
+                        "prev_empty": self.prev_empty[r, c].tolist(),
                     }
-                    for unit in row
+                    for c, unit in enumerate(row)
                 ]
-                for row in self.units
+                for r, row in enumerate(self.units)
             ],
         }
 
@@ -256,8 +242,8 @@ class GridModel:
         """Restore from ``state``; raises ``SnapshotError`` if it is not a grid model.
 
         Only reads of the payload's structure, its config's problems and each
-        unit's widths are checked here; the model is left unchanged unless
-        every unit loads.
+        unit's widths and empty flags are checked here; the model is left
+        unchanged unless every unit loads.
         """
         try:
             config: GridConfig = state["config"]
@@ -284,13 +270,17 @@ class GridModel:
             raise SnapshotError(f"snapshot config is invalid: {'; '.join(problems)}")
         if [len(row) for row in unit_states] != [gcols] * grows:
             raise SnapshotError(f"snapshot units do not fill its {grows}x{gcols} grid")
+        prev_empty = [[flags for *_, flags in row] for row in unit_states]
+        if {len(flags) for row in prev_empty for flags in row} != {config.encoder.class_count}:
+            raise SnapshotError("snapshot prev_empty flags do not match its class count")
         if misfits:
             raise SnapshotError(
                 f"snapshot unit {misfits[0]} widths do not match its config"
             )
-        units = [[_load_unit(*parts) for parts in row] for row in unit_states]
+        units = [[_load_unit(*parts[:3]) for parts in row] for row in unit_states]
         self.config = config
         self.grid_shape = (grows, gcols)
+        self.prev_empty = np.array(prev_empty, dtype=bool)
         self.frame_counter = frame_counter
         self._agg_history = deque(agg_history, maxlen=config.smoothing_window)
         self.units = units

@@ -117,6 +117,8 @@ def _validate(scenario: Scenario) -> list[str]:
         out.append(f"frame_count must be positive, got {scenario.frame_count}")
     if scenario.class_count <= 0:
         out.append("class_count must be positive")
+    if scenario.seed < 0:
+        out.append(f"seed must be non-negative, got {scenario.seed}")
     noise = scenario.noise
     if not 0.0 <= noise.pixel_flip_probability < 1.0:
         out.append("pixel_flip_probability must be in [0, 1)")

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ContractError
 
-__all__ = ["Sdr", "overlap", "concatenate", "from_bitmap_window"]
+__all__ = ["Sdr", "overlap", "concatenate"]
 
 
 class Sdr:
@@ -92,20 +92,3 @@ def concatenate(parts) -> Sdr:
     active = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
     return Sdr(total, active)
 
-
-def from_bitmap_window(bitmap, origin, size) -> Sdr:
-    """Row-major SDR of one rectangular window of a 2-D binary grid."""
-    bitmap = np.asarray(bitmap)
-    if bitmap.ndim != 2:
-        raise ContractError(f"bitmap must be 2-D, got shape {bitmap.shape}")
-    r0, c0 = int(origin[0]), int(origin[1])
-    rows, cols = int(size[0]), int(size[1])
-    if rows <= 0 or cols <= 0:
-        raise ContractError(f"window size must be positive, got ({rows}, {cols})")
-    if r0 < 0 or c0 < 0 or r0 + rows > bitmap.shape[0] or c0 + cols > bitmap.shape[1]:
-        raise ContractError(
-            f"window origin ({r0}, {c0}) size ({rows}, {cols}) exceeds "
-            f"bitmap shape {bitmap.shape}"
-        )
-    window = bitmap[r0 : r0 + rows, c0 : c0 + cols]
-    return Sdr(rows * cols, np.flatnonzero(window.reshape(-1)))

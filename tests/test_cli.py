@@ -234,6 +234,35 @@ def test_stats_bad_cell_argument(tmp_path, stream_dir, capsys):
     assert "ROW,COL" in capsys.readouterr().err
 
 
+def test_stats_cell_outside_grid_fails(tmp_path, stream_dir, capsys):
+    config = write(tmp_path / "far_cell.cfg", run_config_text(stream_dir, tmp_path / "x"))
+    assert main(["stats", config, "--cell", "5,0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "outside the 3x3 grid" in err
+
+
+@pytest.mark.parametrize("extra", ["", "cell.0.0.sp.active_columns = 6\n"],
+                         ids=["defaults", "cell-override"])
+def test_negative_grid_seed_fails_with_diagnostic(tmp_path, stream_dir, capsys, extra):
+    config = write(tmp_path / "neg.cfg", run_config_text(stream_dir, tmp_path / "n") + extra)
+    assert main(["run", config, "--set", "grid.seed=-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "grid seed must be non-negative" in err
+    assert not os.path.exists(tmp_path / "n.csv")
+
+
+def test_negative_scenario_seed_fails_with_diagnostic(tmp_path, capsys):
+    scenario = write(tmp_path / "neg.scn", SCENARIO + "noise.pixel_flip = 0.01\n")
+    out = tmp_path / "neg_stream"
+    assert main(["generate", scenario, "--out", str(out), "--set", "scenario.seed=-2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "seed must be non-negative" in err
+    assert not os.path.exists(out)
+
+
 def test_corrupt_snapshot_info_fails(tmp_path, capsys):
     path = tmp_path / "junk.snap"
     path.write_bytes(b"not a snapshot at all")

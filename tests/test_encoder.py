@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from htmgrid import (
     ConfigError,
     ContractError,
     EncoderConfig,
     NoiseSpec,
+    Sdr,
     active_pixel_stats,
     empty_pattern,
     encode_frame,
@@ -36,25 +38,79 @@ def frame_with(count, where=(0, 0)):
 
 def test_sparse_cell_gets_empty_pattern():
     config = make_config(min_sparsity=5)
-    grid = encode_frame(config, [frame_with(3)])
-    cell = grid[0][0]
-    assert cell.was_empty == [True]
-    assert cell.per_class[0] == empty_pattern(config, 0)
+    bits, empty = encode_frame(config, [frame_with(3)])
+    assert empty[0, 0].tolist() == [True]
+    assert Sdr.from_dense(bits[0, 0]) == empty_pattern(config, 0)
 
 
 def test_boundary_count_passes_through():
     config = make_config(min_sparsity=5)
-    grid = encode_frame(config, [frame_with(5)])
-    cell = grid[0][0]
-    assert cell.was_empty == [False]
-    assert cell.per_class[0].active_count == 5
-    assert cell.per_class[0] != empty_pattern(config, 0)
+    bits, empty = encode_frame(config, [frame_with(5)])
+    assert empty[0, 0].tolist() == [False]
+    assert np.count_nonzero(bits[0, 0]) == 5
+    assert Sdr.from_dense(bits[0, 0]) != empty_pattern(config, 0)
 
 
 def test_grid_shape_by_division():
     config = EncoderConfig(frame_size=(120, 120), cell_size=(12, 12))
-    grid = encode_frame(config, [np.zeros((120, 120), dtype=np.uint8)])
-    assert len(grid) == 10 and len(grid[0]) == 10
+    bits, empty = encode_frame(config, [np.zeros((120, 120), dtype=np.uint8)])
+    assert bits.shape == (10, 10, 144) and bits.dtype == bool
+    assert empty.shape == (10, 10, 1) and empty.dtype == bool
+
+
+def test_window_bits_are_row_major_per_class():
+    # 2x2 cells of a 4x4 frame, two classes, no empty-pattern substitution
+    config = EncoderConfig(frame_size=(4, 4), cell_size=(2, 2), class_count=2,
+                           min_sparsity=0, empty_pattern_sparsity=0)
+    first = np.zeros((4, 4), dtype=np.uint8)
+    first[0, 1] = 1
+    first[2:, 2:] = 255
+    bits, empty = encode_frame(config, [first, np.ones((4, 4))])
+    assert np.flatnonzero(bits[0, 0]).tolist() == [1, 4, 5, 6, 7]
+    assert np.flatnonzero(bits[0, 1]).tolist() == [4, 5, 6, 7]
+    assert np.flatnonzero(bits[1, 1]).tolist() == list(range(8))
+    assert not empty.any()
+
+
+def window_oracle(config, planes):
+    """``encode_frame`` by slicing one window at a time."""
+    cr, cc = config.cell_size
+    grows, gcols = config.grid_shape
+    bits = np.zeros((grows, gcols, config.class_count * cr * cc), dtype=bool)
+    empty = np.zeros((grows, gcols, config.class_count), dtype=bool)
+    for r in range(grows):
+        for c in range(gcols):
+            parts = []
+            for k, plane in enumerate(planes):
+                window = [bool(plane[r * cr + i, c * cc + j])
+                          for i in range(cr) for j in range(cc)]
+                if sum(window) < config.min_sparsity:
+                    empty[r, c, k] = True
+                    window = empty_pattern(config, k).to_dense().tolist()
+                parts.extend(window)
+            bits[r, c] = parts
+    return bits, empty
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_encode_frame_matches_window_oracle(data):
+    cr, cc, grows, gcols = (data.draw(st.integers(1, 4)) for _ in range(4))
+    classes = data.draw(st.integers(1, 3))
+    config = EncoderConfig(
+        frame_size=(grows * cr, gcols * cc),
+        cell_size=(cr, cc),
+        class_count=classes,
+        min_sparsity=data.draw(st.integers(0, cr * cc + 1)),
+        empty_pattern_sparsity=data.draw(st.integers(0, cr * cc)),
+        seed=data.draw(st.integers(0, 2**16)),
+    )
+    plane = arrays(np.uint8, config.frame_size, elements=st.sampled_from([0, 1, 7, 255]))
+    planes = [data.draw(plane) for _ in range(classes)]
+    bits, empty = encode_frame(config, planes)
+    want_bits, want_empty = window_oracle(config, planes)
+    assert np.array_equal(empty, want_empty)
+    assert np.array_equal(bits, want_bits)
 
 
 def test_uneven_frame_rejected():
@@ -89,13 +145,13 @@ def test_empty_pattern_shared_across_cells_and_frames():
         [frame_with(2, where=(0, 0))],
         [frame_with(1, where=(12, 12))],
     ]
-    grids = [encode_frame(config, planes) for planes in frames]
+    encoded = [encode_frame(config, planes) for planes in frames]
     sdrs = {
-        grid[r][c].per_class[0]
-        for grid in grids
+        Sdr.from_dense(bits[r, c])
+        for bits, empty in encoded
         for r in range(2)
         for c in range(2)
-        if grid[r][c].was_empty[0]
+        if empty[r, c, 0]
     }
     assert sdrs == {empty_pattern(config, 0)}
 
@@ -106,10 +162,8 @@ def test_encoding_is_deterministic():
     planes = [rng.integers(0, 2, (24, 24)).astype(np.uint8) for _ in range(2)]
     first = encode_frame(config, planes)
     second = encode_frame(config, planes)
-    for r in range(2):
-        for c in range(2):
-            assert first[r][c].per_class == second[r][c].per_class
-            assert first[r][c].was_empty == second[r][c].was_empty
+    assert np.array_equal(first[0], second[0])
+    assert np.array_equal(first[1], second[1])
 
 
 @settings(max_examples=25)
@@ -120,10 +174,9 @@ def test_fixed_dimensionality_and_floor(count, rng_seed):
     plane = np.zeros((24, 24), dtype=np.uint8)
     cells = rng.choice(144, size=count, replace=False)
     plane[cells // 12, cells % 12] = 1
-    cell = encode_frame(config, [plane])[0][0]
-    sdr = cell.per_class[0]
-    assert sdr.width == 144
-    assert sdr.active_count >= min(
+    cell = encode_frame(config, [plane])[0][0, 0]
+    assert cell.size == 144
+    assert np.count_nonzero(cell) >= min(
         config.empty_pattern_sparsity, config.min_sparsity
     )
 
@@ -131,27 +184,31 @@ def test_fixed_dimensionality_and_floor(count, rng_seed):
 def test_stats_constant_empty_stream():
     config = make_config(empty_pattern_sparsity=5)
     frames = [[np.zeros((24, 24), dtype=np.uint8)] for _ in range(10)]
-    mean, std = active_pixel_stats(config, frames, (0, 0))
-    assert mean == 5.0
-    assert std == 0.0
+    mean, std = active_pixel_stats(config, frames)
+    assert mean.shape == std.shape == (2, 2)
+    assert (mean == 5.0).all()
+    assert (std == 0.0).all()
 
 
 def test_stats_substitution_arithmetic():
     config = make_config(min_sparsity=5, empty_pattern_sparsity=5)
     frames = [[frame_with(4)], [frame_with(7)]]
-    mean, std = active_pixel_stats(config, frames, (0, 0))
-    assert mean == 6.0
-    assert std == 1.0
+    mean, std = active_pixel_stats(config, frames)
+    assert mean[0, 0] == 6.0
+    assert std[0, 0] == 1.0
+    assert mean[1, 1] == 5.0  # the other cells sit at the empty floor
 
 
 def test_stats_requires_frames():
     with pytest.raises(ContractError):
-        active_pixel_stats(make_config(), [], (0, 0))
+        active_pixel_stats(make_config(), [])
 
 
-def test_stats_cell_bounds():
-    with pytest.raises(ContractError):
-        active_pixel_stats(make_config(), [[np.zeros((24, 24))]], (5, 0))
+def test_stats_sum_class_planes():
+    config = make_config(class_count=2, min_sparsity=5, empty_pattern_sparsity=3)
+    frames = [[frame_with(7), frame_with(2)]]
+    mean, _ = active_pixel_stats(config, frames)
+    assert mean.tolist() == [[10.0, 6.0], [6.0, 6.0]]
 
 
 def test_empty_pattern_reduces_count_variance_on_traffic():
@@ -168,6 +225,6 @@ def test_empty_pattern_reduces_count_variance_on_traffic():
         frame_size=(36, 36), cell_size=(12, 12), min_sparsity=0,
         empty_pattern_sparsity=0, seed=5,
     )
-    _, std_on = active_pixel_stats(enabled, frames, (1, 0))
-    _, std_off = active_pixel_stats(disabled, frames, (1, 0))
+    std_on = active_pixel_stats(enabled, frames)[1][1, 0]
+    std_off = active_pixel_stats(disabled, frames)[1][1, 0]
     assert std_on < std_off

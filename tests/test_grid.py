@@ -102,17 +102,14 @@ def test_suppression_zeroes_entry_frames(small_grid_config):
     prev_empty = None
     transition_frames = 0
     for planes in frames:
-        encoded = encode_frame(config.encoder, planes)
-        empties = [
-            [encoded[r][c].was_empty for c in range(3)] for r in range(3)
-        ]
+        _, empties = encode_frame(config.encoder, planes)
         result = model.step(planes)
         if prev_empty is not None:
             for r in range(3):
                 for c in range(3):
                     entered = any(
                         was and not now
-                        for was, now in zip(prev_empty[r][c], empties[r][c])
+                        for was, now in zip(prev_empty[r, c], empties[r, c])
                     )
                     if entered:
                         transition_frames += 1

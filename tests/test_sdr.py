@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from htmgrid import ContractError, Sdr, concatenate, from_bitmap_window, overlap
+from htmgrid import ContractError, Sdr, concatenate, overlap
 
 
 def test_overlap_basic():
@@ -47,29 +47,6 @@ def test_concatenate_three_parts():
 def test_concatenate_empty_sequence():
     with pytest.raises(ContractError):
         concatenate([])
-
-
-def test_from_bitmap_window_index_arithmetic():
-    bitmap = np.zeros((4, 4), dtype=np.uint8)
-    bitmap[1, 1] = 1
-    out = from_bitmap_window(bitmap, (0, 0), (2, 2))
-    assert out.width == 4
-    assert out.active.tolist() == [3]
-
-
-def test_from_bitmap_window_zero():
-    out = from_bitmap_window(np.zeros((4, 4)), (2, 2), (2, 2))
-    assert out.active_count == 0
-
-
-def test_from_bitmap_window_saturated():
-    out = from_bitmap_window(np.ones((3, 3)), (0, 0), (3, 3))
-    assert out.active.tolist() == list(range(9))
-
-
-def test_from_bitmap_window_out_of_bounds():
-    with pytest.raises(ContractError):
-        from_bitmap_window(np.zeros((4, 4)), (3, 3), (2, 2))
 
 
 def test_sdr_validation():
@@ -133,6 +110,6 @@ def test_window_injective_on_contents(bits_a, bits_b):
         ).reshape(3, 4)
         return window
 
-    sa = from_bitmap_window(bitmap(bits_a), (0, 0), (3, 4))
-    sb = from_bitmap_window(bitmap(bits_b), (0, 0), (3, 4))
+    sa = Sdr.from_dense(bitmap(bits_a))
+    sb = Sdr.from_dense(bitmap(bits_b))
     assert (sa == sb) == (bits_a == bits_b)

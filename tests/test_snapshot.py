@@ -145,3 +145,13 @@ def test_unit_widths_must_match_the_config(part, name):
     with pytest.raises(SnapshotError, match=r"unit \(1, 0\) widths"):
         model.load_state_dict(state)
     assert model.to_bytes() == before
+
+
+def test_prev_empty_flags_must_match_the_class_count():
+    model = GridModel(build_grid_config((24, 24), (12, 12)))
+    before = model.to_bytes()
+    state = model.state_dict()
+    state["units"][0][1]["prev_empty"] = [True, False]
+    with pytest.raises(SnapshotError, match="prev_empty"):
+        model.load_state_dict(state)
+    assert model.to_bytes() == before
