@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from htmgrid import ContractError, Sdr, concatenate, overlap
+from htmgrid import (
+    ContractError,
+    EncoderConfig,
+    Sdr,
+    concatenate,
+    encode_frame,
+    overlap,
+)
 
 
 def test_overlap_basic():
@@ -47,6 +54,35 @@ def test_concatenate_three_parts():
 def test_concatenate_empty_sequence():
     with pytest.raises(ContractError):
         concatenate([])
+
+
+def window_bits(bitmap, cell, cell_size):
+    """The bits ``encode_frame`` gives one cell of a one-class frame."""
+    config = EncoderConfig(frame_size=np.shape(bitmap), cell_size=cell_size,
+                           class_count=1, min_sparsity=0,
+                           empty_pattern_sparsity=0)
+    bits, empty = encode_frame(config, [bitmap])
+    assert not empty.any()
+    return Sdr.from_dense(bits[cell])
+
+
+def test_from_bitmap_window_index_arithmetic():
+    bitmap = np.zeros((4, 4), dtype=np.uint8)
+    bitmap[1, 1] = 1
+    out = window_bits(bitmap, (0, 0), (2, 2))
+    assert out.width == 4
+    assert out.active.tolist() == [3]
+
+
+def test_from_bitmap_window_zero():
+    out = window_bits(np.zeros((4, 4)), (1, 1), (2, 2))
+    assert out.width == 4
+    assert out.active_count == 0
+
+
+def test_from_bitmap_window_saturated():
+    out = window_bits(np.ones((3, 3)), (0, 0), (3, 3))
+    assert out.active.tolist() == list(range(9))
 
 
 def test_sdr_validation():
