@@ -97,19 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="process a mask stream")
     p_run.add_argument("config", help="run configuration file")
-    p_run.add_argument(
-        "--set", action="append", metavar="KEY=VALUE",
-        help="override a configuration value", default=[],
-    )
     p_run.set_defaults(func=cmd_run)
 
     p_gen = sub.add_parser("generate", help="write a synthetic scenario to disk")
     p_gen.add_argument("scenario", help="scenario configuration file")
     p_gen.add_argument("--out", required=True, help="output stream directory")
-    p_gen.add_argument(
-        "--set", action="append", metavar="KEY=VALUE",
-        help="override a scenario value", default=[],
-    )
     p_gen.set_defaults(func=cmd_generate)
 
     p_info = sub.add_parser("snapshot-info", help="inspect a model snapshot")
@@ -121,11 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_stats.add_argument("config", help="run configuration file")
     p_stats.add_argument("--cell", help="restrict to one cell, as ROW,COL")
-    p_stats.add_argument(
-        "--set", action="append", metavar="KEY=VALUE",
-        help="override a configuration value", default=[],
-    )
     p_stats.set_defaults(func=cmd_stats)
+    for p, what in ((p_run, "configuration"), (p_gen, "scenario"), (p_stats, "configuration")):
+        p.add_argument("--set", action="append", metavar="KEY=VALUE", default=[],
+                       help=f"override a {what} value")
     return parser
 
 
@@ -134,10 +125,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ContractError, SnapshotError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, ContractError, SnapshotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

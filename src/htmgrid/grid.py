@@ -5,9 +5,9 @@ can never change what counts as normal elsewhere.  Per cell and frame:
 
 1. encode the frame: each cell's class windows laid end to end,
 2. spatial pooling,
-3. push the pooled output into a short history ring and feed the
-   concatenated history to the sequence memory, so "moving" and "standing
-   still" produce different inputs,
+3. shift the pooled output into a short history ring, oldest row first, and
+   feed the flattened ring to the sequence memory, so "moving" and
+   "standing still" produce different inputs,
 4. optionally zero the reported score on the frame a cell turns from
    empty to occupied, which is unpredictable by construction.
 
@@ -17,6 +17,7 @@ scores.  They run one after another in a fixed row-major order.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -25,7 +26,7 @@ import numpy as np
 from .aggregation import AggregationKind, aggregate
 from .encoder import EncoderConfig, encode_frame
 from .errors import ConfigError, SnapshotError
-from .sdr import Sdr, concatenate
+from .sdr import concatenate  # unused here; perfbench's traced spans rebind it
 from .spatial_pooler import SpParams, SpatialPooler
 from .temporal_memory import TmParams, TemporalMemory
 from . import snapshot
@@ -130,14 +131,12 @@ class CellUnit:
     def __init__(self, sp: SpatialPooler, tm: TemporalMemory, multistep_n: int):
         self.sp = sp
         self.tm = tm
-        width = sp.params.column_count
-        self.history: list[Sdr] = [Sdr(width) for _ in range(multistep_n)]
+        self.history = np.zeros((multistep_n, sp.params.column_count), dtype=bool)
 
     def step(self, bits: np.ndarray, learn: bool) -> tuple[float, int]:
-        sp_out = self.sp.compute(Sdr.from_dense(bits), learn)
-        self.history.pop(0)
-        self.history.append(sp_out)
-        result = self.tm.compute(concatenate(self.history), learn)
+        self.history[:-1] = self.history[1:]
+        self.history[-1] = self.sp.compute(bits, learn)
+        result = self.tm.compute(self.history.reshape(-1), learn)
         return result.anomaly_score, result.predictive_column_count
 
 
@@ -146,11 +145,18 @@ def _load_unit(sp_state: dict, tm_state: dict, history) -> CellUnit:
     sp.load_state_dict(sp_state)
     tm = TemporalMemory.__new__(TemporalMemory)
     tm.load_state_dict(tm_state)
-    unit = CellUnit.__new__(CellUnit)
-    unit.sp = sp
-    unit.tm = tm
-    unit.history = [Sdr(sp.params.column_count, active) for active in history]
+    unit = CellUnit(sp, tm, len(history))
+    for row, active in zip(unit.history, history):
+        row[active] = True
     return unit
+
+
+def _history_fits(history: list, depth: int, width: int) -> bool:
+    """Whether ``history`` is ``depth`` 1-D int arrays, each increasing in [0, width)."""
+    arrays = [np.asarray(active) for active in history]
+    return len(arrays) == depth and all(
+        a.ndim == 1 and a.dtype.kind in "iu" and np.all(a[1:] > a[:-1])
+        and np.all((a >= 0) & (a < width)) for a in arrays)
 
 
 def derive_cell_seeds(grid_seed: int, coord: tuple[int, int]) -> tuple[int, int]:
@@ -168,14 +174,11 @@ class GridModel:
         self.config = config
         grows, gcols = config.encoder.grid_shape
         self.grid_shape = (grows, gcols)
-        self.units: list[list[CellUnit]] = []
-        for r in range(grows):
-            row = []
-            for c in range(gcols):
-                sp_params, tm_params = config.cell_params((r, c))
-                row.append(CellUnit(SpatialPooler(sp_params), TemporalMemory(tm_params),
-                                    config.multistep_n))
-            self.units.append(row)
+        self.units = [
+            [CellUnit(SpatialPooler(sp), TemporalMemory(tm), config.multistep_n)
+             for sp, tm in (config.cell_params((r, c)) for c in range(gcols))]
+            for r in range(grows)
+        ]
         # Which class windows of each cell held the empty pattern last frame.
         self.prev_empty = np.zeros((grows, gcols, config.encoder.class_count), dtype=bool)
         self.frame_counter = 0
@@ -229,7 +232,7 @@ class GridModel:
                     {
                         "sp": unit.sp.state_dict(),
                         "tm": unit.tm.state_dict(),
-                        "history": [sdr.active for sdr in unit.history],
+                        "history": [np.flatnonzero(row) for row in unit.history],
                         "prev_empty": self.prev_empty[r, c].tolist(),
                     }
                     for c, unit in enumerate(row)
@@ -242,8 +245,8 @@ class GridModel:
         """Restore from ``state``; raises ``SnapshotError`` if it is not a grid model.
 
         Only reads of the payload's structure, its config's problems and each
-        unit's widths and empty flags are checked here; the model is left
-        unchanged unless every unit loads.
+        unit's widths, history and empty flags are checked here; the model is
+        left unchanged unless every unit loads.
         """
         try:
             config: GridConfig = state["config"]
@@ -260,9 +263,10 @@ class GridModel:
             misfits = [
                 (r, c)
                 for r, row in enumerate(unit_states)
-                for c, (sp, tm, _, _) in enumerate(row)
+                for c, (sp, tm, history, _) in enumerate(row)
                 if (sp["params"]["input_width"], tm["params"]["column_count"])
                 != (input_width, sp["params"]["column_count"] * config.multistep_n)
+                or not _history_fits(history, config.multistep_n, sp["params"]["column_count"])
             ]
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
             raise SnapshotError(f"snapshot payload is not a grid model: {exc!r}") from exc
@@ -275,7 +279,7 @@ class GridModel:
             raise SnapshotError("snapshot prev_empty flags do not match its class count")
         if misfits:
             raise SnapshotError(
-                f"snapshot unit {misfits[0]} widths do not match its config"
+                f"snapshot unit {misfits[0]} widths or history do not match its config"
             )
         units = [[_load_unit(*parts[:3]) for parts in row] for row in unit_states]
         self.config = config
@@ -296,8 +300,15 @@ class GridModel:
         return model
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+        """Write beside ``path``, then move into place: a failed save keeps the old file."""
+        data, tmp = self.to_bytes(), f"{os.fspath(path)}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @classmethod
     def load(cls, path) -> "GridModel":

@@ -1,8 +1,9 @@
 """Fixed-width sparse binary vectors and the primitive operations on them.
 
-Every stage of the pipeline exchanges data as immutable ``Sdr`` values.
-Contracts are stated on the set of active bit indices; the dense form is
-only materialized where a computation needs it.
+``Sdr`` is the public sparse-vector helper: a width plus a sorted, unique,
+in-range array of active indices, checked when it is built.  The engine
+itself passes fixed-width bool arrays between its layers, which hold those
+invariants by construction; ``Sdr`` is for callers that want the index form.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Online-learning spatial pooler.
 
-Maps input SDRs onto a fixed number of columns through permanence-weighted
-synapses and global k-winner inhibition.  One instance serves one grid
-cell, so the pooler stays small and needs no topology or local inhibition.
-Winner selection is fully deterministic: ties are broken by ascending
-column index, and all randomness comes from the configured seed.
+Maps a cell's input bits onto a fixed number of columns through
+permanence-weighted synapses and global k-winner inhibition.  One instance
+serves one grid cell, so the pooler stays small and needs no topology or
+local inhibition.  Winner selection is fully deterministic: ties are broken
+by ascending column index, and all randomness comes from the configured seed.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
-from .sdr import Sdr
+from .errors import ConfigError, check_bits, non_finite
 
 __all__ = ["SpParams", "SpatialPooler"]
 
@@ -64,7 +63,7 @@ class SpParams:
             out.append("sp stimulus_threshold must be >= 0")
         if self.seed < 0:
             out.append("sp seed must be non-negative")
-        return out
+        return out + non_finite("sp", self)
 
     def validate(self) -> None:
         problems = self.problems()
@@ -99,48 +98,37 @@ class SpatialPooler:
     def pool_size(self) -> int:
         return self.pools.shape[1]
 
-    def compute(self, input_sdr: Sdr, learn: bool) -> Sdr:
-        """One pooling step; mutates permanences only when ``learn`` is true."""
+    def compute(self, bits: np.ndarray, learn: bool) -> np.ndarray:
+        """Pool a 1-D bool array of ``input_width`` bits; others raise ``ContractError``.
+
+        Returns a bool array of ``column_count`` with the winners set.
+        Permanences change only when ``learn`` is true.
+        """
         p = self.params
-        if input_sdr.width != p.input_width:
-            raise ContractError(
-                f"input width {input_sdr.width} != configured {p.input_width}"
-            )
-        dense = np.zeros(p.input_width, dtype=bool)
-        dense[input_sdr.active] = True
-        pooled_active = dense[self.pools]
+        check_bits(bits, p.input_width, "sp input")
+        pooled_active = bits[self.pools]
         connected = self.permanences >= p.connected_threshold
         overlaps = np.count_nonzero(pooled_active & connected, axis=1)
 
+        ranking = overlaps
         if p.boosting_enabled:
             target = p.active_columns / p.column_count
             factors = np.exp(p.boost_strength * (target - self.duty_cycles) / target)
             ranking = overlaps * factors
-        else:
-            ranking = overlaps.astype(np.float64)
-
         eligible = np.flatnonzero(overlaps >= p.stimulus_threshold)
-        if eligible.size:
-            order = np.lexsort((eligible, -ranking[eligible]))
-            winners = np.sort(eligible[order[: p.active_columns]])
-        else:
-            winners = np.empty(0, dtype=np.int64)
+        order = np.lexsort((eligible, -ranking[eligible]))
+        active = np.zeros(p.column_count, dtype=bool)
+        active[eligible[order[: p.active_columns]]] = True
 
         if learn:
-            if winners.size:
-                w_active = pooled_active[winners]
-                delta = np.where(w_active, p.permanence_increment, -p.permanence_decrement)
-                self.permanences[winners] = np.clip(
-                    self.permanences[winners] + delta, 0.0, 1.0
-                )
+            delta = np.where(pooled_active[active], p.permanence_increment,
+                             -p.permanence_decrement)
+            self.permanences[active] = np.clip(self.permanences[active] + delta, 0.0, 1.0)
             if p.boosting_enabled:
-                active_vec = np.zeros(p.column_count, dtype=np.float64)
-                active_vec[winners] = 1.0
                 horizon = min(self.step_count + 1, _DUTY_WINDOW)
-                self.duty_cycles += (active_vec - self.duty_cycles) / horizon
+                self.duty_cycles += (active - self.duty_cycles) / horizon
             self.step_count += 1
-
-        return Sdr(p.column_count, winners)
+        return active
 
     # --- serialization ---------------------------------------------------
 

@@ -38,8 +38,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
-from .sdr import Sdr
+from .errors import ConfigError, check_bits, non_finite
 
 __all__ = ["TmParams", "TmStepResult", "TemporalMemory"]
 
@@ -101,7 +100,7 @@ class TmParams:
             out.append("tm new_synapse_count must be positive")
         if self.seed < 0:
             out.append("tm seed must be non-negative")
-        return out
+        return out + non_finite("tm", self)
 
     def validate(self) -> None:
         problems = self.problems()
@@ -133,26 +132,24 @@ class TemporalMemory:
 
     # --- stepping ---------------------------------------------------------
 
-    def compute(self, active_columns: Sdr, learn: bool) -> TmStepResult:
+    def compute(self, active_columns: np.ndarray, learn: bool) -> TmStepResult:
+        """One step over a 1-D bool array of ``column_count``; others raise ``ContractError``.
+
+        The input is read, never kept or written; segments learn only when ``learn``.
+        """
         p = self.params
-        if active_columns.width != p.column_count:
-            raise ContractError(
-                f"active column width {active_columns.width} != configured "
-                f"{p.column_count}"
-            )
+        check_bits(active_columns, p.column_count, "tm active columns")
         cpc = p.cells_per_column
-        active_cols = active_columns.active
+        active_cols = np.flatnonzero(active_columns)
 
         predicted_lut = np.zeros(p.column_count, dtype=bool)
         predicted_lut[self.predictive_cells // cpc] = True
-        active_col_lut = np.zeros(p.column_count, dtype=bool)
-        active_col_lut[active_cols] = True
         bursting_cols = active_cols[~predicted_lut[active_cols]]
 
         anomaly = bursting_cols.size / active_cols.size if active_cols.size else 0.0
 
         correct_predicted = self.predictive_cells[
-            active_col_lut[self.predictive_cells // cpc]
+            active_columns[self.predictive_cells // cpc]
         ]
         prev_active_lut = self._cell_lut(self.active_cells)
         prev_winners = self.winner_cells
@@ -160,14 +157,14 @@ class TemporalMemory:
         # Segments that fired last step, as rows in id order.  Fired ones in
         # active columns get reinforced; the rest mispredicted and get punished.
         fired = self._rows(self.active_segments)
-        fired_in_active = active_col_lut[self.seg_cells[fired] // cpc]
+        fired_in_active = active_columns[self.seg_cells[fired] // cpc]
 
         # Bursting columns: the best matching segment (most potential synapses,
         # lowest id on ties) names the winner, otherwise the least used cell
         # (fewest segments, lowest index on ties) starts a fresh segment.
         best = fresh = _EMPTY
         if bursting_cols.size:
-            bursting_lut = active_col_lut & ~predicted_lut
+            bursting_lut = active_columns & ~predicted_lut
             matching = self._rows(self.matching_segments)
             matching = matching[bursting_lut[self.seg_cells[matching] // cpc]]
             matching_cols = self.seg_cells[matching] // cpc

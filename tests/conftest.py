@@ -11,6 +11,13 @@ from htmgrid import (
 )
 
 
+def dense(width, active=()) -> np.ndarray:
+    """A 1-D bool array of ``width`` with the ``active`` indices set."""
+    out = np.zeros(width, dtype=bool)
+    out[np.asarray(active, dtype=np.int64)] = True
+    return out
+
+
 def results_equal(a, b) -> bool:
     """Bitwise equality of two FrameResults."""
     return (

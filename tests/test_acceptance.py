@@ -23,7 +23,6 @@ from htmgrid import (
     aggregate_mean,
     aggregate_nonzero_mean,
     build_grid_config,
-    concatenate,
     encode_frame,
     generate,
     moving_average,
@@ -408,8 +407,8 @@ def test_criterion_11_temporal_noise_dilution():
     worst = 0.0
     for r in range(3):
         for c in range(3):
-            a = set(concatenate(ma.unit(r, c).history).active.tolist())
-            b = set(concatenate(mb.unit(r, c).history).active.tolist())
+            a = set(np.flatnonzero(ma.unit(r, c).history.reshape(-1)).tolist())
+            b = set(np.flatnonzero(mb.unit(r, c).history.reshape(-1)).tolist())
             prefix_ok &= {x for x in a if x < boundary} == {
                 x for x in b if x < boundary
             }

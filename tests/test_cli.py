@@ -228,6 +228,22 @@ def test_resume_with_mismatched_unit_widths_writes_nothing(tmp_path, stream_dir)
     assert not os.path.exists(tmp_path / "w.snap")
 
 
+def test_resume_with_an_extra_history_entry_writes_nothing(tmp_path, stream_dir):
+    grid = parse_run_config(run_config_text(stream_dir, "unused")).grid
+    state = GridModel(grid).state_dict()
+    state["units"][2][1]["history"].append(np.array([0, 5], dtype=np.int64))
+    snap = tmp_path / "extra.snap"
+    snap.write_bytes(snapshot.pack(SNAPSHOT_KIND, SNAPSHOT_VERSION, state))
+    run_config = parse_run_config(
+        run_config_text(stream_dir, tmp_path / "h") + f"resume = {snap}\n"
+    )
+    with pytest.raises(SnapshotError, match=r"unit \(2, 1\) widths or history"):
+        runner.run(run_config)
+    assert not os.path.exists(tmp_path / "h.csv")
+    assert not os.path.exists(tmp_path / "h_heat")
+    assert not os.path.exists(tmp_path / "h.snap")
+
+
 def test_stats_bad_cell_argument(tmp_path, stream_dir, capsys):
     config = write(tmp_path / "bad_cell.cfg", run_config_text(stream_dir, tmp_path / "x"))
     assert main(["stats", config, "--cell", "nope"]) == 1

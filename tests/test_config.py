@@ -1,5 +1,6 @@
 import re
 from dataclasses import fields, replace
+from typing import get_type_hints
 
 import pytest
 
@@ -191,6 +192,25 @@ def test_parameter_keys_are_the_dataclass_fields():
                 "cell.0.0.sp.input_width", "cell.0.0.tm.column_count"]:
         with pytest.raises(ConfigError, match=f"unknown run key '{re.escape(key)}'"):
             parse_run_config(MINIMAL_RUN + f"{key} = 1\n")
+
+
+FLOAT_KEYS = [
+    (prefix, f.name)
+    for prefix, cls in (("sp", SpParams), ("tm", TmParams))
+    for f in fields(cls)
+    if get_type_hints(cls)[f.name] is float
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("prefix, name", FLOAT_KEYS, ids=[f"{p}.{n}" for p, n in FLOAT_KEYS])
+def test_non_finite_float_parameter_is_a_config_error(prefix, name, value):
+    key = f"{prefix}.{name}"
+    with pytest.raises(ConfigError, match=rf"{re.escape(key)} must be finite, got {value}"):
+        parse_run_config(MINIMAL_RUN, [f"{key}={value}"])
+    # A per-cell override reports it through the same problem list.
+    with pytest.raises(ConfigError, match=rf"{re.escape(key)} must be finite"):
+        parse_run_config(MINIMAL_RUN, [f"cell.1.2.{key}={value}"])
 
 
 def test_cell_override_explicit_seed_wins():

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -155,3 +156,76 @@ def test_prev_empty_flags_must_match_the_class_count():
     with pytest.raises(SnapshotError, match="prev_empty"):
         model.load_state_dict(state)
     assert model.to_bytes() == before
+
+
+@pytest.mark.parametrize("history", [
+    [[], [], []],
+    [[]],
+    [[], [3, 128]],
+    [[], [-1, 3]],
+    [[], [3, 3]],
+    [[], [5, 3]],
+    [[], [1.0, 3.0]],
+], ids=["extra-entry", "missing-entry", "out-of-range", "negative", "duplicate",
+        "unsorted", "float"])
+def test_unit_history_must_fit_the_ring(history):
+    model = GridModel(build_grid_config((24, 24), (12, 12), multistep_n=2))
+    before = model.to_bytes()
+    state = model.state_dict()
+    state["units"][1][1]["history"] = [np.array(active) for active in history]
+    with pytest.raises(SnapshotError, match=r"unit \(1, 1\) widths or history"):
+        model.load_state_dict(state)
+    assert model.to_bytes() == before
+
+
+def test_loaded_history_ring_matches_the_saved_indices():
+    model = GridModel(build_grid_config((24, 24), (12, 12), multistep_n=3))
+    state = model.state_dict()
+    state["units"][0][1]["history"] = [np.array([2, 9]), np.array([], dtype=np.int64),
+                                       np.array([0, 127])]
+    model.load_state_dict(state)
+    ring = model.unit(0, 1).history
+    assert ring.dtype == bool and ring.shape == (3, 128)
+    assert [np.flatnonzero(row).tolist() for row in ring] == [[2, 9], [], [0, 127]]
+
+
+def test_non_finite_config_is_rejected_on_load():
+    model = GridModel(build_grid_config((24, 24), (12, 12)))
+    state = model.state_dict()
+    config = state["config"]
+    state["config"] = replace(
+        config, default_tm=replace(config.default_tm, permanence_increment=float("nan"))
+    )
+    with pytest.raises(SnapshotError, match=r"tm\.permanence_increment must be finite"):
+        model.load_state_dict(state)
+
+
+@pytest.mark.parametrize("failing", ["to_bytes", "replace"])
+def test_failed_save_keeps_the_existing_snapshot(tmp_path, monkeypatch, failing):
+    model = GridModel(build_grid_config((24, 24), (12, 12)))
+    path = tmp_path / "model.snap"
+    model.save(path)
+    before = path.read_bytes()
+    model.step([np.ones((24, 24), dtype=np.uint8)])
+
+    def fail(*args):
+        raise MemoryError("serialization failed")
+
+    if failing == "to_bytes":
+        monkeypatch.setattr(model, "to_bytes", fail)
+    else:
+        monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(MemoryError):
+        model.save(path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.snap"]
+
+
+def test_save_replaces_the_existing_snapshot(tmp_path):
+    model = GridModel(build_grid_config((24, 24), (12, 12)))
+    path = tmp_path / "model.snap"
+    model.save(path)
+    model.step([np.ones((24, 24), dtype=np.uint8)])
+    model.save(str(path))
+    assert path.read_bytes() == model.to_bytes()
+    assert os.listdir(tmp_path) == ["model.snap"]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from htmgrid import ConfigError, ContractError, Sdr, SpParams, SpatialPooler, overlap
-from tests.conftest import states_equal
+from htmgrid import ConfigError, ContractError, Sdr, SpParams, SpatialPooler
+from tests.conftest import dense, states_equal
 
 
 def make_params(**kwargs):
@@ -32,8 +32,8 @@ def test_full_potential_fraction_pools_everything():
 
 def test_single_column_degenerate_grid():
     sp = SpatialPooler(make_params(column_count=1, active_columns=1))
-    out = sp.compute(Sdr(144, range(40)), learn=False)
-    assert out.active.tolist() == [0]
+    out = sp.compute(dense(144, range(40)), learn=False)
+    assert out.dtype == bool and out.tolist() == [True]
 
 
 def test_active_columns_cap_validated():
@@ -41,24 +41,31 @@ def test_active_columns_cap_validated():
         SpatialPooler(make_params(column_count=4, active_columns=5))
 
 
-def test_width_mismatch():
+@pytest.mark.parametrize("bits", [
+    np.zeros(100, dtype=bool),
+    np.ones(144, dtype=np.uint8),
+    np.zeros((1, 144), dtype=bool),
+    [False] * 144,
+    Sdr(144, [1]),
+], ids=["wrong-length", "uint8-row", "2-d", "list", "sdr"])
+def test_width_mismatch(bits):
     sp = SpatialPooler(make_params())
-    with pytest.raises(ContractError):
-        sp.compute(Sdr(100, [1]), learn=False)
+    with pytest.raises(ContractError, match=r"sp input must be bool of shape \(144,\)"):
+        sp.compute(bits, learn=False)
 
 
 def test_all_zero_input_gives_empty_output():
     sp = SpatialPooler(make_params(stimulus_threshold=1))
-    out = sp.compute(Sdr(144), learn=True)
-    assert out.active_count == 0
+    out = sp.compute(dense(144), learn=True)
+    assert not out.any()
 
 
 def test_compute_is_pure_without_learning():
     sp = SpatialPooler(make_params())
-    x = Sdr(144, range(0, 30))
+    x = dense(144, range(0, 30))
     first = sp.compute(x, learn=False)
     second = sp.compute(x, learn=False)
-    assert first == second
+    assert np.array_equal(first, second)
     assert sp.step_count == 0
 
 
@@ -67,11 +74,11 @@ def test_output_sparsity_bound():
     rng = np.random.default_rng(0)
     for _ in range(50):
         active = np.sort(rng.choice(144, 30, replace=False))
-        out = sp.compute(Sdr(144, active), learn=True)
-        assert out.active_count <= 8
+        out = sp.compute(dense(144, active), learn=True)
+        assert np.count_nonzero(out) <= 8
     # a rich input makes enough columns eligible to fill the quota
-    out = sp.compute(Sdr(144, range(144)), learn=False)
-    assert out.active_count == 8
+    out = sp.compute(dense(144, range(144)), learn=False)
+    assert np.count_nonzero(out) == 8
 
 
 def test_permanences_stay_bounded_under_learning():
@@ -79,7 +86,7 @@ def test_permanences_stay_bounded_under_learning():
     rng = np.random.default_rng(1)
     for _ in range(300):
         active = np.sort(rng.choice(144, rng.integers(0, 60), replace=False))
-        sp.compute(Sdr(144, active), learn=True)
+        sp.compute(dense(144, active), learn=True)
     assert sp.permanences.min() >= 0.0
     assert sp.permanences.max() <= 1.0
 
@@ -87,12 +94,12 @@ def test_permanences_stay_bounded_under_learning():
 def test_replay_reproduces_bit_identical_state():
     rng = np.random.default_rng(7)
     inputs = [
-        Sdr(144, np.sort(rng.choice(144, 25, replace=False))) for _ in range(100)
+        dense(144, np.sort(rng.choice(144, 25, replace=False))) for _ in range(100)
     ]
     a, b = SpatialPooler(make_params()), SpatialPooler(make_params())
     outs_a = [a.compute(x, learn=True) for x in inputs]
     outs_b = [b.compute(x, learn=True) for x in inputs]
-    assert outs_a == outs_b
+    assert np.array_equal(outs_a, outs_b)
     assert np.array_equal(a.permanences, b.permanences)
 
 
@@ -101,11 +108,11 @@ def test_similar_inputs_map_closer_than_disjoint_inputs():
     rng = np.random.default_rng(0)
     base = np.sort(rng.choice(144, 30, replace=False))
     spare = np.setdiff1d(np.arange(144), base)
-    similar_a = Sdr(144, base)
-    similar_b = Sdr(144, np.sort(np.concatenate([base[:27], spare[:3]])))
-    assert overlap(similar_a, similar_b) / 30 >= 0.9
-    disjoint_a = Sdr(144, np.arange(0, 30))
-    disjoint_b = Sdr(144, np.arange(40, 70))
+    similar_a = dense(144, base)
+    similar_b = dense(144, np.sort(np.concatenate([base[:27], spare[:3]])))
+    assert np.count_nonzero(similar_a & similar_b) / 30 >= 0.9
+    disjoint_a = dense(144, np.arange(0, 30))
+    disjoint_b = dense(144, np.arange(40, 70))
 
     sp_sim, sp_dis = SpatialPooler(make_params()), SpatialPooler(make_params())
     for _ in range(100):
@@ -113,11 +120,11 @@ def test_similar_inputs_map_closer_than_disjoint_inputs():
         sp_sim.compute(similar_b, learn=True)
         sp_dis.compute(disjoint_a, learn=True)
         sp_dis.compute(disjoint_b, learn=True)
-    sim_overlap = overlap(
-        sp_sim.compute(similar_a, learn=False), sp_sim.compute(similar_b, learn=False)
+    sim_overlap = np.count_nonzero(
+        sp_sim.compute(similar_a, learn=False) & sp_sim.compute(similar_b, learn=False)
     )
-    dis_overlap = overlap(
-        sp_dis.compute(disjoint_a, learn=False), sp_dis.compute(disjoint_b, learn=False)
+    dis_overlap = np.count_nonzero(
+        sp_dis.compute(disjoint_a, learn=False) & sp_dis.compute(disjoint_b, learn=False)
     )
     assert sim_overlap > dis_overlap
 
@@ -125,7 +132,7 @@ def test_similar_inputs_map_closer_than_disjoint_inputs():
 def test_boosting_disabled_means_no_duty_cycle_movement():
     sp = SpatialPooler(make_params(boosting_enabled=False))
     for _ in range(20):
-        sp.compute(Sdr(144, range(30)), learn=True)
+        sp.compute(dense(144, range(30)), learn=True)
     assert np.all(sp.duty_cycles == 0.0)
 
 
@@ -133,8 +140,8 @@ def test_boosting_enabled_rotates_winners_on_constant_input():
     sp = SpatialPooler(make_params(boosting_enabled=True, boost_strength=10.0))
     seen = set()
     for _ in range(80):
-        out = sp.compute(Sdr(144, range(30)), learn=True)
-        seen.update(out.active.tolist())
+        out = sp.compute(dense(144, range(30)), learn=True)
+        seen.update(np.flatnonzero(out).tolist())
     # duty-cycle pressure forces column turnover that a plain pooler avoids
     assert len(seen) > 8
 
@@ -142,20 +149,20 @@ def test_boosting_enabled_rotates_winners_on_constant_input():
 def test_snapshot_round_trip_bit_exact():
     sp = SpatialPooler(make_params())
     rng = np.random.default_rng(3)
-    inputs = [Sdr(144, np.sort(rng.choice(144, 20, replace=False))) for _ in range(30)]
+    inputs = [dense(144, np.sort(rng.choice(144, 20, replace=False))) for _ in range(30)]
     for x in inputs:
         sp.compute(x, learn=True)
     restored = SpatialPooler.__new__(SpatialPooler)
     restored.load_state_dict(sp.state_dict())
     assert states_equal(restored.state_dict(), sp.state_dict())
     for x in inputs:
-        assert restored.compute(x, learn=True) == sp.compute(x, learn=True)
+        assert np.array_equal(restored.compute(x, learn=True), sp.compute(x, learn=True))
 
 
 def test_loaded_state_is_not_shared_with_its_source():
     sp = SpatialPooler(make_params(boosting_enabled=True))
     rng = np.random.default_rng(19)
-    inputs = [Sdr(144, np.sort(rng.choice(144, 20, replace=False))) for _ in range(20)]
+    inputs = [dense(144, np.sort(rng.choice(144, 20, replace=False))) for _ in range(20)]
     for x in inputs[:10]:
         sp.compute(x, learn=True)
     state = sp.state_dict()

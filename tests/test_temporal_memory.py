@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from htmgrid import ContractError, Sdr, TemporalMemory, TmParams
-from tests.conftest import states_equal
+from tests.conftest import dense, states_equal
 
 
 def make_tm(width=36, seed=1, **kwargs):
     return TemporalMemory(TmParams(column_count=width, seed=seed, **kwargs))
 
 
-A = Sdr(36, range(0, 12))
-B = Sdr(36, range(12, 24))
-C = Sdr(36, range(24, 36))
+A = dense(36, range(0, 12))
+B = dense(36, range(12, 24))
+C = dense(36, range(24, 36))
 
 
 def test_first_step_is_fully_anomalous():
@@ -23,15 +23,32 @@ def test_first_step_is_fully_anomalous():
 
 def test_empty_input_scores_zero():
     tm = make_tm()
-    assert tm.compute(Sdr(36), learn=True).anomaly_score == 0.0
+    assert tm.compute(dense(36), learn=True).anomaly_score == 0.0
     tm.compute(A, learn=True)
-    assert tm.compute(Sdr(36), learn=True).anomaly_score == 0.0
+    assert tm.compute(dense(36), learn=True).anomaly_score == 0.0
 
 
-def test_width_mismatch():
+@pytest.mark.parametrize("columns", [
+    np.zeros(35, dtype=bool),
+    np.ones(36, dtype=np.uint8),
+    np.zeros((1, 36), dtype=bool),
+    [False] * 36,
+    Sdr(36, [0]),
+], ids=["wrong-length", "uint8-row", "2-d", "list", "sdr"])
+def test_width_mismatch(columns):
     tm = make_tm()
-    with pytest.raises(ContractError):
-        tm.compute(Sdr(35, [0]), learn=True)
+    with pytest.raises(ContractError, match=r"tm active columns must be bool of shape \(36,\)"):
+        tm.compute(columns, learn=True)
+    assert tm.step_count == 0
+
+
+def test_input_is_only_read():
+    # The grid hands the TM a view of its history ring, so compute must not write it.
+    tm = make_tm()
+    for pattern in (A, B, C) * 20:
+        view = pattern.view()
+        view.setflags(write=False)
+        tm.compute(view, learn=True)
 
 
 def test_cycle_converges_to_zero_anomaly():
@@ -62,7 +79,7 @@ def test_anomaly_matches_unpredicted_fraction():
             else np.empty(0, dtype=np.int64)
         )
         expected = np.setdiff1d(active, predicted_cols).size / active.size
-        result = tm.compute(Sdr(36, active), learn=True)
+        result = tm.compute(dense(36, active), learn=True)
         assert result.anomaly_score == expected
         assert 0.0 <= result.anomaly_score <= 1.0
         assert result.active_column_count == 12
@@ -70,7 +87,7 @@ def test_anomaly_matches_unpredicted_fraction():
 
 def test_determinism_bit_identical_state():
     rng = np.random.default_rng(5)
-    inputs = [Sdr(36, np.sort(rng.choice(36, 12, replace=False))) for _ in range(150)]
+    inputs = [dense(36, np.sort(rng.choice(36, 12, replace=False))) for _ in range(150)]
     a, b = make_tm(), make_tm()
     scores_a = [a.compute(x, learn=True).anomaly_score for x in inputs]
     scores_b = [b.compute(x, learn=True).anomaly_score for x in inputs]
@@ -80,7 +97,7 @@ def test_determinism_bit_identical_state():
 
 def test_fast_learn_slow_forget():
     # a learned cycle survives 1000 steps of unrelated traffic on other columns
-    A2, B2, C2 = (Sdr(72, range(k, k + 12)) for k in (0, 12, 24))
+    A2, B2, C2 = (dense(72, range(k, k + 12)) for k in (0, 12, 24))
     tm = make_tm(width=72)
     for _ in range(50):
         for p in (A2, B2, C2):
@@ -88,7 +105,7 @@ def test_fast_learn_slow_forget():
     rng = np.random.default_rng(9)
     for _ in range(1000):
         active = 36 + np.sort(rng.choice(36, 12, replace=False))
-        tm.compute(Sdr(72, active), learn=True)
+        tm.compute(dense(72, active), learn=True)
     replay = [
         tm.compute(p, learn=False).anomaly_score for p in (A2, B2, C2, A2, B2, C2)
     ]
@@ -118,7 +135,7 @@ def test_contextual_loop_characterization():
             )
         else:
             predicted_cols = np.empty(0, dtype=np.int64)
-        fully_predicted = bool(np.isin(A.active, predicted_cols).all())
+        fully_predicted = bool(np.isin(np.flatnonzero(A), predicted_cols).all())
         score = tm.compute(A, learn=True).anomaly_score
         if fully_predicted:
             assert score == 0.0
@@ -137,7 +154,7 @@ def test_segment_and_synapse_caps_respected():
     rng = np.random.default_rng(11)
     for _ in range(500):
         active = np.sort(rng.choice(36, 12, replace=False))
-        tm.compute(Sdr(36, active), learn=True)
+        tm.compute(dense(36, active), learn=True)
     segments = tm.state_dict()["segments"]
     assert segments
     assert np.bincount([seg["cell"] for seg in segments]).max() <= 4
@@ -156,7 +173,7 @@ def test_predictive_column_count_reported():
 def test_snapshot_round_trip_continues_bit_identically():
     tm = make_tm()
     rng = np.random.default_rng(13)
-    inputs = [Sdr(36, np.sort(rng.choice(36, 12, replace=False))) for _ in range(120)]
+    inputs = [dense(36, np.sort(rng.choice(36, 12, replace=False))) for _ in range(120)]
     for x in inputs[:60]:
         tm.compute(x, learn=True)
     restored = TemporalMemory.__new__(TemporalMemory)
@@ -170,7 +187,7 @@ def test_snapshot_round_trip_continues_bit_identically():
 def test_loaded_state_is_not_shared_with_its_source():
     tm = make_tm()
     rng = np.random.default_rng(17)
-    inputs = [Sdr(36, np.sort(rng.choice(36, 12, replace=False))) for _ in range(80)]
+    inputs = [dense(36, np.sort(rng.choice(36, 12, replace=False))) for _ in range(80)]
     for x in inputs[:40]:
         tm.compute(x, learn=True)
     state = tm.state_dict()
@@ -190,7 +207,7 @@ def test_segment_store_invariants_hold_between_steps():
                  predicted_decrement=0.3)
     rng = np.random.default_rng(23)
     for _ in range(300):
-        tm.compute(Sdr(36, np.sort(rng.choice(36, 12, replace=False))), learn=True)
+        tm.compute(dense(36, np.sort(rng.choice(36, 12, replace=False))), learn=True)
         n = tm.segment_count
         assert np.all(np.diff(tm.seg_ids[:n]) > 0)
         assert np.all(tm.seg_cells[:n] >= 0)
@@ -238,7 +255,7 @@ def test_masked_update_matches_the_per_row_rule():
                  permanence_decrement=0.1, predicted_decrement=1.0)
     rng = np.random.default_rng(29)
     for _ in range(150):
-        tm.compute(Sdr(36, np.sort(rng.choice(36, 12, replace=False))), learn=True)
+        tm.compute(dense(36, np.sort(rng.choice(36, 12, replace=False))), learn=True)
     rows = rng.permutation(tm.segment_count)
     third = rows.size // 3
     adapted, punished = np.sort(rows[:third]), np.sort(rows[third : 2 * third])
