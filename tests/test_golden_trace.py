@@ -17,7 +17,9 @@ to their 32-synapse cap.  Its digests were recorded before learning was
 batched across the rows of a step.
 
 The snapshot digests pin pickle bytes, which name numpy's module paths;
-they were recorded under numpy 2 and are checked only there.
+they were recorded under numpy 2 and are checked only there.  The state
+digests read the model's attributes, not its snapshot, so they hold under
+numpy 1 and 2 and across changes to the snapshot layout.
 """
 
 import hashlib
@@ -92,6 +94,10 @@ GOLDEN = {
         "b124c1cdbd8967739580fd0d6cd10870"
         "ff34c1ac39f81bf8a7a1e596cecb81f9"
     ),
+    "state": (
+        "a2e9eb878cf28813887868a07ddbeee8"
+        "a04c62f2b878bf05c0b80ada8e175b88"
+    ),
 }
 
 DEFAULT_SCENARIO = """
@@ -122,6 +128,10 @@ GOLDEN_DEFAULT = {
         "ba7b417844193419557db13d1189c51a"
         "c079af19216535d2f3796b9d23e8891a"
     ),
+    "state": (
+        "a07472b5f881b08cb6ece172de573b50"
+        "855396b14286e2340dfad43a45aadcd3"
+    ),
 }
 
 numpy2 = pytest.mark.skipif(
@@ -132,6 +142,34 @@ numpy2 = pytest.mark.skipif(
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def state_digest(model) -> str:
+    """Digest of a model's live state, read from its attributes.
+
+    Store rows are cut to their lengths, so capacity and padding do not count.
+    """
+    digest = hashlib.sha256()
+
+    def put(*arrays):
+        for a in arrays:
+            digest.update(np.ascontiguousarray(a).tobytes())
+
+    put(np.int64(model.frame_counter), model.prev_empty,
+        np.asarray(model._agg_history, dtype=np.float64))
+    for row in model.units:
+        for unit in row:
+            sp, tm = unit.sp, unit.tm
+            put(unit.history, sp.pools, sp.permanences, sp.duty_cycles, np.int64(sp.step_count))
+            n = tm.segment_count
+            filled = np.arange(tm.presyn.shape[1]) < tm.seg_lens[:n, None]
+            put(tm.seg_ids[:n], tm.seg_cells[:n], tm.seg_lens[:n], tm.seg_last_used[:n],
+                tm.seg_potential[:n], tm.presyn[:n][filled], tm.perm[:n][filled],
+                tm.last_reinforced[:n][filled], tm.cell_segment_counts)
+            put(tm.active_cells, tm.winner_cells, tm.predictive_cells, tm.active_segments,
+                tm.matching_segments, np.int64([tm.next_segment_id, tm.step_count]))
+            digest.update(repr(tm.rng.bit_generator.state).encode())
+    return digest.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +193,8 @@ def trace(tmp_path_factory):
     out["raw_scores"] = scores.hexdigest()
     out["certainty"] = certainty.hexdigest()
     out["stepped_to_bytes"] = sha(model.to_bytes())
+    out["state"] = state_digest(model)
+    out["reloaded_state"] = state_digest(GridModel.from_bytes(model.to_bytes()))
 
     summary = run(run_config)
     assert summary.rows_written == 120
@@ -189,6 +229,11 @@ def test_trace_matches_golden(trace, name):
     assert trace[name] == GOLDEN[name]
 
 
+def test_state_matches_golden(trace):
+    assert trace["state"] == GOLDEN["state"]
+    assert trace["reloaded_state"] == trace["state"]
+
+
 @numpy2
 @pytest.mark.parametrize(
     "name", ["stepped_to_bytes", "run_snapshot", "fresh_to_bytes"]
@@ -211,7 +256,9 @@ def default_trace():
         scores.update(result.raw_scores.tobytes())
         certainty.update(result.certainty.tobytes())
     return {"raw_scores": scores.hexdigest(), "certainty": certainty.hexdigest(),
-            "to_bytes": sha(model.to_bytes()), "model": model}
+            "to_bytes": sha(model.to_bytes()), "state": state_digest(model),
+            "reloaded_state": state_digest(GridModel.from_bytes(model.to_bytes())),
+            "model": model}
 
 
 def test_default_trace_samples_and_fills_rows(default_trace):
@@ -226,6 +273,11 @@ def test_default_trace_samples_and_fills_rows(default_trace):
 @pytest.mark.parametrize("name", ["raw_scores", "certainty"])
 def test_default_trace_matches_golden(default_trace, name):
     assert default_trace[name] == GOLDEN_DEFAULT[name]
+
+
+def test_default_state_matches_golden(default_trace):
+    assert default_trace["state"] == GOLDEN_DEFAULT["state"]
+    assert default_trace["reloaded_state"] == default_trace["state"]
 
 
 @numpy2
