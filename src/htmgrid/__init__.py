@@ -5,7 +5,6 @@ from .aggregation import (
     aggregate,
     aggregate_mean,
     aggregate_nonzero_mean,
-    moving_average,
 )
 from .encoder import EncoderConfig, active_pixel_stats, empty_pattern, encode_frame
 from .errors import ConfigError, ContractError, SnapshotError
@@ -71,7 +70,6 @@ __all__ = [
     "empty_pattern",
     "encode_frame",
     "generate",
-    "moving_average",
     "object_position",
     "overlap",
 ]

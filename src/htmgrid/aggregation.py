@@ -21,7 +21,6 @@ __all__ = [
     "aggregate",
     "aggregate_mean",
     "aggregate_nonzero_mean",
-    "moving_average",
 ]
 
 
@@ -55,19 +54,3 @@ def aggregate(kind: AggregationKind, scores) -> float:
     if kind is AggregationKind.NONZERO_MEAN:
         return aggregate_nonzero_mean(scores)
     raise ConfigError(f"unknown aggregation kind: {kind!r}")
-
-
-def moving_average(series, window: int) -> np.ndarray:
-    """Trailing moving average with prefix warm-up.
-
-    ``out[i]`` is the mean of the last ``min(i + 1, window)`` values ending
-    at ``i``, so the output aligns index for index with the input.
-    """
-    if window < 1:
-        raise ConfigError(f"moving average window must be >= 1, got {window}")
-    arr = np.asarray(series, dtype=np.float64).reshape(-1)
-    out = np.empty_like(arr)
-    for i in range(arr.size):
-        lo = max(0, i - window + 1)
-        out[i] = np.mean(arr[lo : i + 1])
-    return out

@@ -17,14 +17,28 @@ class SnapshotError(RuntimeError):
     """Snapshot data is corrupt, truncated, or from an unsupported version."""
 
 
-def check_bits(bits, width: int, what: str) -> None:
-    """Raise ``ContractError`` unless ``bits`` is a 1-D bool array of ``width``.
+def check_bits(bits, shape: tuple, what: str, error: type = ContractError) -> None:
+    """Raise ``error`` unless ``bits`` is a bool array of ``shape``.
 
     A 0/1 integer row is refused as well: ``&`` on it would be bitwise.
     """
-    if not (isinstance(bits, np.ndarray) and bits.dtype == bool and bits.shape == (width,)):
+    if not (isinstance(bits, np.ndarray) and bits.dtype == bool and bits.shape == shape):
         got = f"{getattr(bits, 'dtype', type(bits).__name__)} of shape {np.shape(bits)}"
-        raise ContractError(f"{what} must be bool of shape ({width},), got {got}")
+        raise error(f"{what} must be bool of shape {shape}, got {got}")
+
+
+def check_indices(values: np.ndarray, bound: int, what: str, increasing: bool = True) -> None:
+    """Raise ``SnapshotError`` unless ``values`` are integers in ``[0, bound)``.
+
+    With ``increasing``, each row (the last axis) must also strictly increase.
+    """
+    ok = values.dtype.kind in "iu" and (
+        values.size == 0 or (values.min() >= 0 and values.max() < bound))
+    if ok and increasing:
+        ok = bool(np.all(values[..., 1:] > values[..., :-1]))
+    if not ok:
+        order = "strictly increasing " if increasing else ""
+        raise SnapshotError(f"{what} must be {order}integers in [0, {bound})")
 
 
 def non_finite(prefix: str, params) -> list[str]:

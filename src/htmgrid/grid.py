@@ -25,7 +25,7 @@ import numpy as np
 
 from .aggregation import AggregationKind, aggregate
 from .encoder import EncoderConfig, encode_frame
-from .errors import ConfigError, SnapshotError
+from .errors import ConfigError, SnapshotError, check_bits
 from .sdr import concatenate  # unused here; perfbench's traced spans rebind it
 from .spatial_pooler import SpParams, SpatialPooler
 from .temporal_memory import TmParams, TemporalMemory
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 SNAPSHOT_KIND = "grid-model"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -140,23 +140,20 @@ class CellUnit:
         return result.anomaly_score, result.predictive_column_count
 
 
-def _load_unit(sp_state: dict, tm_state: dict, history) -> CellUnit:
+def _load_unit(config: GridConfig, coord: tuple[int, int], state: dict) -> CellUnit:
+    """Cell ``coord``'s unit from ``state``, with the parameters ``config`` gives it."""
+    sp_params, tm_params = config.cell_params(coord)
     sp = SpatialPooler.__new__(SpatialPooler)
-    sp.load_state_dict(sp_state)
     tm = TemporalMemory.__new__(TemporalMemory)
-    tm.load_state_dict(tm_state)
-    unit = CellUnit(sp, tm, len(history))
-    for row, active in zip(unit.history, history):
-        row[active] = True
+    try:
+        sp.load_state_dict(state["sp"], sp_params)
+        tm.load_state_dict(state["tm"], tm_params)
+        unit = CellUnit(sp, tm, config.multistep_n)
+        check_bits(state["history"], unit.history.shape, "history ring", SnapshotError)
+    except SnapshotError as exc:
+        raise SnapshotError(f"snapshot unit {coord}: {exc}") from exc
+    unit.history[:] = state["history"]
     return unit
-
-
-def _history_fits(history: list, depth: int, width: int) -> bool:
-    """Whether ``history`` is ``depth`` 1-D int arrays, each increasing in [0, width)."""
-    arrays = [np.asarray(active) for active in history]
-    return len(arrays) == depth and all(
-        a.ndim == 1 and a.dtype.kind in "iu" and np.all(a[1:] > a[:-1])
-        and np.all((a >= 0) & (a < width)) for a in arrays)
 
 
 def derive_cell_seeds(grid_seed: int, coord: tuple[int, int]) -> tuple[int, int]:
@@ -223,68 +220,46 @@ class GridModel:
     # --- serialization ----------------------------------------------------
 
     def state_dict(self) -> dict:
+        """What a snapshot holds; unit parameters follow from the config."""
         return {
             "config": self.config,
             "frame_counter": self.frame_counter,
             "agg_history": list(self._agg_history),
+            "prev_empty": self.prev_empty,
             "units": [
-                [
-                    {
-                        "sp": unit.sp.state_dict(),
-                        "tm": unit.tm.state_dict(),
-                        "history": [np.flatnonzero(row) for row in unit.history],
-                        "prev_empty": self.prev_empty[r, c].tolist(),
-                    }
-                    for c, unit in enumerate(row)
-                ]
-                for r, row in enumerate(self.units)
+                [{"sp": unit.sp.state_dict(), "tm": unit.tm.state_dict(),
+                  "history": unit.history} for unit in row]
+                for row in self.units
             ],
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore from ``state``; raises ``SnapshotError`` if it is not a grid model.
+        """Restore from ``state``; any payload that does not fit raises ``SnapshotError``.
 
-        Only reads of the payload's structure, its config's problems and each
-        unit's widths, history and empty flags are checked here; the model is
-        left unchanged unless every unit loads.
+        The model is left unchanged unless every unit loads.
         """
         try:
             config: GridConfig = state["config"]
-            grows, gcols = config.encoder.grid_shape
             problems = config.problems()
-            input_width = config.encoder.cell_bits * config.encoder.class_count
+            if problems:
+                raise SnapshotError(f"snapshot config is invalid: {'; '.join(problems)}")
+            grows, gcols = config.encoder.grid_shape
             frame_counter = int(state["frame_counter"])
             agg_history = [float(v) for v in state["agg_history"]]
-            unit_states = [
-                [(u["sp"], u["tm"], list(u["history"]), list(u["prev_empty"]))
-                 for u in row]
-                for row in state["units"]
-            ]
-            misfits = [
-                (r, c)
-                for r, row in enumerate(unit_states)
-                for c, (sp, tm, history, _) in enumerate(row)
-                if (sp["params"]["input_width"], tm["params"]["column_count"])
-                != (input_width, sp["params"]["column_count"] * config.multistep_n)
-                or not _history_fits(history, config.multistep_n, sp["params"]["column_count"])
-            ]
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            prev_empty = state["prev_empty"]
+            check_bits(prev_empty, (grows, gcols, config.encoder.class_count),
+                       "snapshot prev_empty", SnapshotError)
+            if [len(row) for row in state["units"]] != [gcols] * grows:
+                raise SnapshotError(f"snapshot units do not fill its {grows}x{gcols} grid")
+            units = [[_load_unit(config, (r, c), u) for c, u in enumerate(row)]
+                     for r, row in enumerate(state["units"])]
+        except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
+                ValueError) as exc:
             raise SnapshotError(f"snapshot payload is not a grid model: {exc!r}") from exc
-        if problems:
-            raise SnapshotError(f"snapshot config is invalid: {'; '.join(problems)}")
-        if [len(row) for row in unit_states] != [gcols] * grows:
-            raise SnapshotError(f"snapshot units do not fill its {grows}x{gcols} grid")
-        prev_empty = [[flags for *_, flags in row] for row in unit_states]
-        if {len(flags) for row in prev_empty for flags in row} != {config.encoder.class_count}:
-            raise SnapshotError("snapshot prev_empty flags do not match its class count")
-        if misfits:
-            raise SnapshotError(
-                f"snapshot unit {misfits[0]} widths or history do not match its config"
-            )
-        units = [[_load_unit(*parts[:3]) for parts in row] for row in unit_states]
         self.config = config
         self.grid_shape = (grows, gcols)
-        self.prev_empty = np.array(prev_empty, dtype=bool)
+        # An asarray view carries numpy's own bool dtype, which snapshot bytes share.
+        self.prev_empty = np.asarray(prev_empty, dtype=bool)
         self.frame_counter = frame_counter
         self._agg_history = deque(agg_history, maxlen=config.smoothing_window)
         self.units = units

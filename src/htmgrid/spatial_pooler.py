@@ -9,11 +9,11 @@ by ascending column index, and all randomness comes from the configured seed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_bits, non_finite
+from .errors import ConfigError, SnapshotError, check_bits, check_indices, non_finite
 
 __all__ = ["SpParams", "SpatialPooler"]
 
@@ -65,6 +65,11 @@ class SpParams:
             out.append("sp seed must be non-negative")
         return out + non_finite("sp", self)
 
+    @property
+    def pool_size(self) -> int:
+        """Input bits in each column's pool."""
+        return max(1, int(round(self.potential_fraction * self.input_width)))
+
     def validate(self) -> None:
         problems = self.problems()
         if problems:
@@ -77,14 +82,12 @@ class SpatialPooler:
     def __init__(self, params: SpParams):
         params.validate()
         self.params = params
-        pool_size = int(round(params.potential_fraction * params.input_width))
-        pool_size = max(1, pool_size)
         rng = np.random.default_rng(params.seed)
         # One random subset of input bits per column, drawn without replacement.
         order = np.argsort(
             rng.random((params.column_count, params.input_width)), axis=1
         )
-        self.pools = np.sort(order[:, :pool_size], axis=1).astype(np.int64)
+        self.pools = np.sort(order[:, : params.pool_size], axis=1).astype(np.int64)
         band = 0.1
         low = params.connected_threshold - band
         high = params.connected_threshold + band
@@ -94,10 +97,6 @@ class SpatialPooler:
         self.step_count = 0
         self.duty_cycles = np.zeros(params.column_count, dtype=np.float64)
 
-    @property
-    def pool_size(self) -> int:
-        return self.pools.shape[1]
-
     def compute(self, bits: np.ndarray, learn: bool) -> np.ndarray:
         """Pool a 1-D bool array of ``input_width`` bits; others raise ``ContractError``.
 
@@ -105,7 +104,7 @@ class SpatialPooler:
         Permanences change only when ``learn`` is true.
         """
         p = self.params
-        check_bits(bits, p.input_width, "sp input")
+        check_bits(bits, (p.input_width,), "sp input")
         pooled_active = bits[self.pools]
         connected = self.permanences >= p.connected_threshold
         overlaps = np.count_nonzero(pooled_active & connected, axis=1)
@@ -133,19 +132,29 @@ class SpatialPooler:
     # --- serialization ---------------------------------------------------
 
     def state_dict(self) -> dict:
+        """Learned state; the parameters are the caller's to keep."""
         return {
-            "params": asdict(self.params),
             "pools": self.pools,
             "permanences": self.permanences,
             "step_count": self.step_count,
             "duty_cycles": self.duty_cycles,
         }
 
-    def load_state_dict(self, state: dict) -> None:
+    def load_state_dict(self, state: dict, params: SpParams) -> None:
+        """Restore ``state`` under ``params``; ``SnapshotError`` if its arrays do not fit."""
+        pools, step_count = np.asarray(state["pools"]), int(state["step_count"])
+        shape = (params.column_count, params.pool_size)
+        if pools.shape != shape:
+            raise SnapshotError(f"sp pools must have shape {shape}, got {pools.shape}")
+        check_indices(pools, params.input_width, "sp pool rows")
+        permanences = np.asarray(state["permanences"], dtype=np.float64)
+        duty_cycles = np.asarray(state["duty_cycles"], dtype=np.float64)
+        if permanences.shape != shape or duty_cycles.shape != shape[:1]:
+            raise SnapshotError("sp permanences and duty cycles must match the pools")
         # Copy what learning mutates; pools never change.  Copies of asarray
         # views keep numpy's own dtype objects, which snapshot bytes share.
-        self.params = SpParams(**state["params"])
-        self.pools = np.asarray(state["pools"], dtype=np.int64)
-        self.permanences = np.asarray(state["permanences"], dtype=np.float64).copy()
-        self.step_count = int(state["step_count"])
-        self.duty_cycles = np.asarray(state["duty_cycles"], dtype=np.float64).copy()
+        self.params = params
+        self.pools = np.asarray(pools, dtype=np.int64)
+        self.permanences = permanences.copy()
+        self.step_count = step_count
+        self.duty_cycles = duty_cycles.copy()

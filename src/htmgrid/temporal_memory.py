@@ -34,21 +34,22 @@ are visited (by column, then segment id) and every draw replays exactly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_bits, non_finite
+from .errors import ConfigError, SnapshotError, check_bits, check_indices, non_finite
 
 __all__ = ["TmParams", "TmStepResult", "TemporalMemory"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-# Per-row arrays of the segment store, and the step state carried between steps.
+# Per-row arrays of the segment store, the padded ones among them, and the
+# step state carried between steps.
 _STORE = ("presyn", "perm", "last_reinforced", "seg_ids", "seg_cells", "seg_lens",
           "seg_last_used", "seg_potential")
-_STEP = ("active_cells", "winner_cells", "predictive_cells", "active_segments",
-         "matching_segments")
+_SYNAPSES = _STORE[:3]
+_STEP = ("active_cells", "winner_cells")
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,8 @@ class TemporalMemory:
         self.next_segment_id = 0
         self.rng = np.random.default_rng(params.seed)
         self.step_count = 0
-        for name in _STEP:
-            setattr(self, name, _EMPTY)
+        self.active_cells = self.winner_cells = _EMPTY
+        self._update_activity()
 
     # --- stepping ---------------------------------------------------------
 
@@ -138,7 +139,7 @@ class TemporalMemory:
         The input is read, never kept or written; segments learn only when ``learn``.
         """
         p = self.params
-        check_bits(active_columns, p.column_count, "tm active columns")
+        check_bits(active_columns, (p.column_count,), "tm active columns")
         cpc = p.cells_per_column
         active_cols = np.flatnonzero(active_columns)
 
@@ -334,15 +335,9 @@ class TemporalMemory:
     # --- activation ---------------------------------------------------------
 
     def _update_activity(self) -> None:
+        """Derive the segments' activity and the predictive cells from ``active_cells``."""
         p = self.params
         n = self.segment_count
-        if n == 0:
-            # The shared empty array of a fresh instance; snapshot bytes
-            # depend on that sharing.
-            self.active_segments = _EMPTY
-            self.matching_segments = _EMPTY
-            self.predictive_cells = _EMPTY
-            return
         hit = self._cell_lut(self.active_cells)[self.presyn[:n]]
         potential = np.count_nonzero(hit, axis=1)
         connected = hit & (self.perm[:n] >= p.connected_threshold)
@@ -357,16 +352,15 @@ class TemporalMemory:
     def state_dict(self) -> dict:
         """Learned and carried state, segments in ascending id order.
 
-        The segment arrays are views into the store, which later learning
-        mutates.
+        Segment activity and the predictive cells follow from the store and
+        ``active_cells``, so they are left out, as are the parameters.  The
+        segment arrays are views into the store, which later learning mutates.
         """
         n = self.segment_count
-        ids = self.seg_ids[:n].tolist()
-        rows = zip(ids, self.seg_cells[:n].tolist(), self.seg_lens[:n].tolist(),
-                   self.seg_last_used[:n].tolist(), self.presyn, self.perm,
-                   self.last_reinforced)
+        rows = zip(self.seg_ids[:n].tolist(), self.seg_cells[:n].tolist(),
+                   self.seg_lens[:n].tolist(), self.seg_last_used[:n].tolist(),
+                   self.presyn, self.perm, self.last_reinforced)
         return {
-            "params": asdict(self.params),
             "segments": [
                 {"id": sid, "cell": cell, "presyn": presyn[:size], "perm": perm[:size],
                  "last_reinforced": reinforced[:size], "last_used": last_used}
@@ -376,44 +370,56 @@ class TemporalMemory:
             "rng_state": self.rng.bit_generator.state,
             "step_count": self.step_count,
             **{name: getattr(self, name) for name in _STEP},
-            "potential_counts": {
-                sid: count
-                for sid, count in zip(ids, self.seg_potential[:n].tolist())
-                if count
-            },
         }
 
-    def load_state_dict(self, state: dict) -> None:
-        """Fill the store from ``state``; segment arrays are copied, not kept."""
-        self.params = TmParams(**state["params"])
-        self.total_cells = self.params.column_count * self.params.cells_per_column
-        segments = sorted(state["segments"], key=lambda rec: rec["id"])
-        self._new_store(len(segments))
-        self.segment_count = len(segments)
+    def load_state_dict(self, state: dict, params: TmParams) -> None:
+        """Fill the store from ``state`` under ``params``; segment arrays are copied.
+
+        Raises ``SnapshotError``, before anything is assigned, if an index or a
+        segment's length does not fit ``params``.
+        """
+        total_cells = params.column_count * params.cells_per_column
+        width = params.max_synapses_per_segment
+        segments = state["segments"]
+        # Per segment: id, cell, last_used and the lengths of its synapse arrays.
+        table = np.array([(rec["id"], rec["cell"], rec["last_used"],
+                           *(np.size(rec[name]) for name in _SYNAPSES)) for rec in segments],
+                         dtype=np.int64).reshape(-1, 6)
+        ids, cells, last_used, lens = table[:, :4].T
+        synapses = [np.concatenate([_EMPTY] + [rec[name] for rec in segments])
+                    for name in _SYNAPSES]
+        next_segment_id = int(state["next_segment_id"])
+        step = [np.asarray(state[name]) for name in _STEP]
+        check_indices(ids, next_segment_id, "tm segment ids")
+        check_indices(cells, total_cells, "tm segment cells", increasing=False)
+        if np.any(table[:, 4:] != lens[:, None]) or np.any(lens > width):
+            raise SnapshotError(f"tm segments must hold at most {width} synapses, "
+                                "each with a permanence and a last_reinforced step")
+        check_indices(synapses[0], total_cells, "tm presyn cells", increasing=False)
+        for name, value in zip(_STEP, step):
+            check_indices(value, total_cells, f"tm {name}")
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = state["rng_state"]
+        step_count = int(state["step_count"])
+
+        self.params, self.total_cells = params, total_cells
+        self._new_store(ids.size)
+        self.segment_count = ids.size
+        self.seg_ids[:], self.seg_cells[:], self.seg_last_used[:] = ids, cells, last_used
+        self.seg_lens[:] = lens
         # One vectorised pass per array: row r fills its first seg_lens[r] slots.
-        self.seg_lens[:] = [np.size(rec["presyn"]) for rec in segments]
-        width = self.params.max_synapses_per_segment
-        filled = np.arange(width) < self.seg_lens[:, None]
-        for name in ("presyn", "perm", "last_reinforced"):
-            arrays = [_EMPTY] + [rec[name] for rec in segments]
-            getattr(self, name)[filled] = np.concatenate(arrays)
-        self.seg_ids[:] = [rec["id"] for rec in segments]
-        self.seg_cells[:] = [rec["cell"] for rec in segments]
-        self.seg_last_used[:] = [rec["last_used"] for rec in segments]
-        counts = state["potential_counts"]
-        rows = self._rows(np.fromiter(counts, np.int64, len(counts)))
-        self.seg_potential[rows] = list(counts.values())
-        self.cell_segment_counts = np.bincount(
-            self.seg_cells, minlength=self.total_cells
-        )
-        self.next_segment_id = int(state["next_segment_id"])
-        self.rng = np.random.default_rng(0)
-        self.rng.bit_generator.state = state["rng_state"]
-        self.step_count = int(state["step_count"])
+        filled = np.arange(width) < lens[:, None]
+        for name, values in zip(_SYNAPSES, synapses):
+            getattr(self, name)[filled] = values
+        self.cell_segment_counts = np.bincount(cells, minlength=total_cells)
+        self.next_segment_id = next_segment_id
+        self.rng = rng
+        self.step_count = step_count
         # Step arrays are never written in place, so they are kept and arrays
         # the state shares stay shared.  Unpickled arrays carry an equal copy of
         # numpy's int64 dtype; numpy's own keeps a reload's pickle byte-identical.
-        for name in _STEP:
-            value = np.asarray(state[name]).astype(np.int64, copy=False)
+        for name, value in zip(_STEP, step):
+            value = value.astype(np.int64, copy=False)
             value.dtype = np.dtype(np.int64)
             setattr(self, name, value)
+        self._update_activity()

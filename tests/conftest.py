@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from htmgrid import (
+    ConfigError,
     GridModel,
     LinearLoop,
     ObjectTrack,
@@ -52,6 +53,22 @@ def states_equal(a, b) -> bool:
             and all(states_equal(x, y) for x, y in zip(a, b))
         )
     return type(a) is type(b) and a == b
+
+
+def moving_average(series, window: int) -> np.ndarray:
+    """Trailing moving average with prefix warm-up, the oracle for ``aggregate_smoothed``.
+
+    ``out[i]`` is the mean of the last ``min(i + 1, window)`` values ending
+    at ``i``, so the output aligns index for index with the input.
+    """
+    if window < 1:
+        raise ConfigError(f"moving average window must be >= 1, got {window}")
+    arr = np.asarray(series, dtype=np.float64).reshape(-1)
+    out = np.empty_like(arr)
+    for i in range(arr.size):
+        lo = max(0, i - window + 1)
+        out[i] = np.mean(arr[lo : i + 1])
+    return out
 
 
 def loop_object(velocity=(0, 3), start=(15, 0), shape=(6, 6)):

@@ -25,7 +25,6 @@ from htmgrid import (
     build_grid_config,
     encode_frame,
     generate,
-    moving_average,
     object_position,
 )
 from htmgrid.cli import main as cli_main

@@ -9,8 +9,8 @@ from htmgrid import (
     aggregate,
     aggregate_mean,
     aggregate_nonzero_mean,
-    moving_average,
 )
+from tests.conftest import moving_average
 
 
 def test_mean_examples():

@@ -15,7 +15,7 @@ from htmgrid import (
     generate,
 )
 from htmgrid.grid import CellUnit
-from tests.conftest import loop_scenario, results_equal
+from tests.conftest import loop_scenario, moving_average, results_equal
 
 
 def blob_planes(frame=(36, 36), at=(14, 14), size=(6, 6)):
@@ -238,8 +238,6 @@ def test_truncated_snapshot_rejected(small_grid_config):
 
 
 def test_smoothed_aggregate_matches_offline_average(small_grid_config):
-    from htmgrid import moving_average
-
     frames = generate(loop_scenario(250))
     model = GridModel(small_grid_config)
     results = [model.step(planes) for planes in frames]

@@ -1,4 +1,7 @@
 import os
+import pickle
+import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +11,22 @@ from htmgrid import CellOverride, GridModel, SnapshotError, SpParams, TmParams
 from htmgrid import build_grid_config, snapshot
 from htmgrid.grid import SNAPSHOT_KIND, SNAPSHOT_VERSION
 from tests.conftest import states_equal
+
+
+def saved_state(model) -> dict:
+    """A copy of ``model``'s state, read back from its snapshot bytes."""
+    return snapshot.unpack(model.to_bytes(), SNAPSHOT_KIND, SNAPSHOT_VERSION)
+
+
+def stepped_model(frame_size=(24, 24), config=None) -> GridModel:
+    """A model that has learned segments from a square moving across the frame."""
+    model = GridModel(config or build_grid_config(frame_size, (12, 12)))
+    planes = model.config.encoder.class_count
+    for t in range(6):
+        frame = np.zeros(frame_size, dtype=np.uint8)
+        frame[2 * t: 2 * t + 6, 3 * t: 3 * t + 6] = 1
+        model.step([frame] * planes)
+    return model
 
 
 def test_round_trip():
@@ -109,13 +128,13 @@ def test_failed_load_leaves_the_model_unchanged():
     model = GridModel(build_grid_config((24, 24), (12, 12)))
     model.step([np.zeros((24, 24), dtype=np.uint8)])
     before = model.to_bytes()
-    other = GridModel(build_grid_config((36, 36), (12, 12))).state_dict()
+    other = saved_state(stepped_model((36, 36)))
     short = dict(other, units=other["units"][:2])
     with pytest.raises(SnapshotError, match="3x3 grid"):
         model.load_state_dict(short)
-    # A unit's own loader fails with its own error, after earlier units loaded.
-    del other["units"][2][2]["tm"]["segments"]
-    with pytest.raises(KeyError, match="segments"):
+    # A malformed unit fails with SnapshotError too, after earlier units loaded.
+    del other["units"][2][2]["tm"]["segments"][0]["last_used"]
+    with pytest.raises(SnapshotError, match="last_used"):
         model.load_state_dict(other)
     assert model.to_bytes() == before
 
@@ -137,13 +156,17 @@ def test_invalid_config_is_rejected_before_loading():
     assert model.to_bytes() == before
 
 
-@pytest.mark.parametrize("part, name", [("sp", "input_width"), ("tm", "column_count")])
-def test_unit_widths_must_match_the_config(part, name):
+@pytest.mark.parametrize("part, config", [
+    ("sp", build_grid_config((24, 24), (12, 12), 2)),
+    ("tm", build_grid_config((24, 24), (12, 12), multistep_n=3)),
+], ids=["sp-input_width", "tm-column_count"])
+def test_unit_widths_must_match_the_config(part, config):
+    # A unit's state from a wider pooler input or memory does not fit the config.
     model = GridModel(build_grid_config((24, 24), (12, 12)))
     before = model.to_bytes()
-    state = model.state_dict()
-    state["units"][1][0][part]["params"][name] = 7
-    with pytest.raises(SnapshotError, match=r"unit \(1, 0\) widths"):
+    state = saved_state(model)
+    state["units"][1][0][part] = saved_state(stepped_model(config=config))["units"][1][0][part]
+    with pytest.raises(SnapshotError, match=rf"unit \(1, 0\): {part} "):
         model.load_state_dict(state)
     assert model.to_bytes() == before
 
@@ -151,29 +174,29 @@ def test_unit_widths_must_match_the_config(part, name):
 def test_prev_empty_flags_must_match_the_class_count():
     model = GridModel(build_grid_config((24, 24), (12, 12)))
     before = model.to_bytes()
-    state = model.state_dict()
-    state["units"][0][1]["prev_empty"] = [True, False]
-    with pytest.raises(SnapshotError, match="prev_empty"):
+    state = saved_state(model)
+    state["prev_empty"] = np.zeros((2, 2, 2), dtype=bool)
+    with pytest.raises(SnapshotError, match=r"prev_empty must be bool of shape \(2, 2, 1\)"):
         model.load_state_dict(state)
     assert model.to_bytes() == before
 
 
 @pytest.mark.parametrize("history", [
-    [[], [], []],
-    [[]],
-    [[], [3, 128]],
-    [[], [-1, 3]],
-    [[], [3, 3]],
-    [[], [5, 3]],
-    [[], [1.0, 3.0]],
-], ids=["extra-entry", "missing-entry", "out-of-range", "negative", "duplicate",
-        "unsorted", "float"])
+    np.zeros((3, 128), dtype=bool),
+    np.zeros((1, 128), dtype=bool),
+    np.zeros((2, 129), dtype=bool),
+    np.zeros(256, dtype=bool),
+    np.zeros((2, 128), dtype=np.int64),
+    np.zeros((2, 128)),
+    [[False] * 128] * 2,
+], ids=["extra-entry", "missing-entry", "out-of-range", "flat", "int", "float", "list"])
 def test_unit_history_must_fit_the_ring(history):
     model = GridModel(build_grid_config((24, 24), (12, 12), multistep_n=2))
     before = model.to_bytes()
-    state = model.state_dict()
-    state["units"][1][1]["history"] = [np.array(active) for active in history]
-    with pytest.raises(SnapshotError, match=r"unit \(1, 1\) widths or history"):
+    state = saved_state(model)
+    state["units"][1][1]["history"] = history
+    with pytest.raises(SnapshotError,
+                       match=r"unit \(1, 1\): history ring must be bool of shape \(2, 128\)"):
         model.load_state_dict(state)
     assert model.to_bytes() == before
 
@@ -181,12 +204,76 @@ def test_unit_history_must_fit_the_ring(history):
 def test_loaded_history_ring_matches_the_saved_indices():
     model = GridModel(build_grid_config((24, 24), (12, 12), multistep_n=3))
     state = model.state_dict()
-    state["units"][0][1]["history"] = [np.array([2, 9]), np.array([], dtype=np.int64),
-                                       np.array([0, 127])]
+    saved = np.zeros((3, 128), dtype=bool)
+    saved[0, [2, 9]] = saved[2, [0, 127]] = True
+    state["units"][0][1]["history"] = saved
     model.load_state_dict(state)
     ring = model.unit(0, 1).history
     assert ring.dtype == bool and ring.shape == (3, 128)
     assert [np.flatnonzero(row).tolist() for row in ring] == [[2, 9], [], [0, 127]]
+    assert ring is not saved
+
+
+def test_payload_holds_no_derivable_state():
+    state = saved_state(stepped_model())
+    assert state.keys() == {"config", "frame_counter", "agg_history", "prev_empty", "units"}
+    unit = state["units"][1][1]
+    assert unit.keys() == {"sp", "tm", "history"}
+    assert unit["sp"].keys() == {"pools", "permanences", "step_count", "duty_cycles"}
+    assert unit["tm"].keys() == {"segments", "next_segment_id", "rng_state", "step_count",
+                                 "active_cells", "winner_cells"}
+
+
+# Damage to each check of the indices a loaded unit uses: the problem it names,
+# and the entries it changes in the unit's SP state, TM state or first segment.
+# A 2-class cell has 288 input bits and 2048 memory cells of at most 32
+# synapses per segment.
+INDEX_DAMAGE = {
+    "segment-cell": ("segment cells", lambda sp, tm, seg: (seg, {"cell": 2048})),
+    "presyn-range": ("presyn cells",
+                     lambda sp, tm, seg: (seg, {"presyn": np.r_[seg["presyn"][:-1], 2048]})),
+    "presyn-negative": ("presyn cells",
+                        lambda sp, tm, seg: (seg, {"presyn": np.r_[-1, seg["presyn"][1:]]})),
+    "row-too-long": ("at most 32 synapses", lambda sp, tm, seg: (seg, {
+        name: np.resize(seg[name], 33) for name in ("presyn", "perm", "last_reinforced")})),
+    "perm-length": ("a permanence", lambda sp, tm, seg: (seg, {"perm": seg["perm"][:-1]})),
+    "last-reinforced-length": ("a last_reinforced", lambda sp, tm, seg: (
+        seg, {"last_reinforced": seg["last_reinforced"][1:]})),
+    "id-order": ("segment ids", lambda sp, tm, seg: (tm["segments"][1], {"id": seg["id"]})),
+    "id-bound": ("segment ids",
+                 lambda sp, tm, seg: (tm, {"next_segment_id": tm["segments"][-1]["id"]})),
+    "active-cells-order": ("active_cells",
+                           lambda sp, tm, seg: (tm, {"active_cells": tm["active_cells"][::-1]})),
+    "active-cells-range": ("active_cells", lambda sp, tm, seg: (
+        tm, {"active_cells": np.r_[tm["active_cells"], 2048]})),
+    "winner-cells-order": ("winner_cells",
+                           lambda sp, tm, seg: (tm, {"winner_cells": tm["winner_cells"][::-1]})),
+    "winner-cells-range": ("winner_cells", lambda sp, tm, seg: (
+        tm, {"winner_cells": np.r_[-1, tm["winner_cells"]]})),
+    "pools-shape": ("pools must have shape",
+                    lambda sp, tm, seg: (sp, {"pools": sp["pools"][:, :-1]})),
+    "pools-order": ("pool rows", lambda sp, tm, seg: (sp, {"pools": sp["pools"][:, ::-1]})),
+    "pools-range": ("pool rows",
+                    lambda sp, tm, seg: (sp, {"pools": sp["pools"] + 288 - sp["pools"].max()})),
+    "permanences-shape": ("permanences and duty cycles",
+                          lambda sp, tm, seg: (sp, {"permanences": sp["permanences"][:-1]})),
+    "duty-cycles-shape": ("permanences and duty cycles",
+                          lambda sp, tm, seg: (sp, {"duty_cycles": sp["duty_cycles"][:-1]})),
+}
+
+
+@pytest.mark.parametrize("damage", INDEX_DAMAGE)
+def test_loaded_indices_must_fit(damage):
+    model = stepped_model(config=build_grid_config((24, 24), (12, 12), 2))
+    before = model.to_bytes()
+    state = saved_state(model)
+    sp, tm = state["units"][0][1]["sp"], state["units"][0][1]["tm"]
+    problem, change = INDEX_DAMAGE[damage]
+    where, entries = change(sp, tm, tm["segments"][0])
+    where.update(entries)
+    with pytest.raises(SnapshotError, match=rf"unit \(0, 1\): (sp|tm) .*{problem}"):
+        model.load_state_dict(state)
+    assert model.to_bytes() == before
 
 
 def test_non_finite_config_is_rejected_on_load():
@@ -229,3 +316,27 @@ def test_save_replaces_the_existing_snapshot(tmp_path):
     model.save(str(path))
     assert path.read_bytes() == model.to_bytes()
     assert os.listdir(tmp_path) == ["model.snap"]
+
+
+def test_checksum_valid_damage_raises_only_snapshot_error():
+    # Flipped bits under a recomputed checksum, as a faulty writer leaves them:
+    # a load either fails with SnapshotError or gives a model that runs.
+    model = stepped_model()
+    data, body = model.to_bytes(), pickle.dumps(model.state_dict(), protocol=4)
+    kind_and_version = data[: len(data) - len(body) - 12]  # then length, CRC and body
+    frame = np.zeros((24, 24), dtype=np.uint8)
+    rng = np.random.default_rng(0)
+    loaded = 0
+    for _ in range(150):
+        damaged = bytearray(body)
+        for at in rng.integers(len(body), size=2):
+            damaged[at] ^= 1 << int(rng.integers(8))
+        crc = struct.pack(">QI", len(damaged), zlib.crc32(damaged))
+        try:
+            restored = GridModel.from_bytes(kind_and_version + crc + bytes(damaged))
+        except SnapshotError:
+            continue
+        restored.step([frame])
+        restored.to_bytes()
+        loaded += 1
+    assert 0 < loaded < 150

@@ -19,7 +19,8 @@ def test_construction_is_deterministic():
 
 def test_pool_size_matches_fraction():
     sp = SpatialPooler(make_params(potential_fraction=0.85))
-    assert sp.pool_size == round(0.85 * 144)
+    assert sp.params.pool_size == round(0.85 * 144)
+    assert sp.pools.shape == (128, sp.params.pool_size)
     # every pool is a distinct subset of the input
     assert np.all(np.diff(sp.pools, axis=1) > 0)
     assert sp.pools.min() >= 0 and sp.pools.max() < 144
@@ -153,7 +154,7 @@ def test_snapshot_round_trip_bit_exact():
     for x in inputs:
         sp.compute(x, learn=True)
     restored = SpatialPooler.__new__(SpatialPooler)
-    restored.load_state_dict(sp.state_dict())
+    restored.load_state_dict(sp.state_dict(), sp.params)
     assert states_equal(restored.state_dict(), sp.state_dict())
     for x in inputs:
         assert np.array_equal(restored.compute(x, learn=True), sp.compute(x, learn=True))
@@ -168,7 +169,7 @@ def test_loaded_state_is_not_shared_with_its_source():
     state = sp.state_dict()
     permanences, duty_cycles = state["permanences"].copy(), state["duty_cycles"].copy()
     restored = SpatialPooler.__new__(SpatialPooler)
-    restored.load_state_dict(state)
+    restored.load_state_dict(state, sp.params)
     for x in inputs[10:]:
         restored.compute(x, learn=True)
     assert np.array_equal(state["permanences"], permanences)

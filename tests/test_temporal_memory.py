@@ -177,7 +177,7 @@ def test_snapshot_round_trip_continues_bit_identically():
     for x in inputs[:60]:
         tm.compute(x, learn=True)
     restored = TemporalMemory.__new__(TemporalMemory)
-    restored.load_state_dict(tm.state_dict())
+    restored.load_state_dict(tm.state_dict(), tm.params)
     assert states_equal(restored.state_dict(), tm.state_dict())
     for x in inputs[60:]:
         assert restored.compute(x, learn=True) == tm.compute(x, learn=True)
@@ -193,7 +193,7 @@ def test_loaded_state_is_not_shared_with_its_source():
     state = tm.state_dict()
     before = copy.deepcopy(state)
     restored = TemporalMemory.__new__(TemporalMemory)
-    restored.load_state_dict(state)
+    restored.load_state_dict(state, tm.params)
     for x in inputs[40:]:
         restored.compute(x, learn=True)
     assert states_equal(state, before)
