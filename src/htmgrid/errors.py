@@ -30,12 +30,17 @@ def check_bits(bits, shape: tuple, what: str, error: type = ContractError) -> No
 def check_indices(values: np.ndarray, bound: int, what: str, increasing: bool = True) -> None:
     """Raise ``SnapshotError`` unless ``values`` are integers in ``[0, bound)``.
 
-    With ``increasing``, each row (the last axis) must also strictly increase.
+    With ``increasing``, each row (the last axis) must also strictly increase,
+    so that its ends bound it.
     """
-    ok = values.dtype.kind in "iu" and (
-        values.size == 0 or (values.min() >= 0 and values.max() < bound))
-    if ok and increasing:
-        ok = bool(np.all(values[..., 1:] > values[..., :-1]))
+    ok = values.dtype.kind in "iu"
+    if ok and values.size:
+        if increasing:
+            ok = bool(np.all(values[..., 1:] > values[..., :-1]))
+            low, high = values[..., 0].min(), values[..., -1].max()
+        else:
+            low, high = values.min(), values.max()
+        ok = ok and low >= 0 and high < bound
     if not ok:
         order = "strictly increasing " if increasing else ""
         raise SnapshotError(f"{what} must be {order}integers in [0, {bound})")

@@ -382,8 +382,8 @@ class TemporalMemory:
         width = params.max_synapses_per_segment
         segments = state["segments"]
         # Per segment: id, cell, last_used and the lengths of its synapse arrays.
-        table = np.array([(rec["id"], rec["cell"], rec["last_used"],
-                           *(np.size(rec[name]) for name in _SYNAPSES)) for rec in segments],
+        table = np.array([(rec["id"], rec["cell"], rec["last_used"], len(rec["presyn"]),
+                            len(rec["perm"]), len(rec["last_reinforced"])) for rec in segments],
                          dtype=np.int64).reshape(-1, 6)
         ids, cells, last_used, lens = table[:, :4].T
         synapses = [np.concatenate([_EMPTY] + [rec[name] for rec in segments])
