@@ -128,8 +128,9 @@ class TemporalMemory:
         self.next_segment_id = 0
         self.rng = np.random.default_rng(params.seed)
         self.step_count = 0
-        self.active_cells = self.winner_cells = _EMPTY
-        self._update_activity()
+        # A fresh memory has no segments, so nothing is active or predicted.
+        self.active_cells = self.winner_cells = self.predictive_cells = _EMPTY
+        self.active_segments = self.matching_segments = _EMPTY
 
     # --- stepping ---------------------------------------------------------
 
