@@ -70,13 +70,15 @@ def unpack(data: bytes, kind: str, version: int) -> object:
         raise SnapshotError("snapshot is truncated")
     body_len, crc = _PAYLOAD_HEADER.unpack_from(data, offset)
     offset += _PAYLOAD_HEADER.size
-    body = data[offset : offset + body_len]
-    if len(body) != body_len:
+    if len(data) < offset + body_len:
         raise SnapshotError("snapshot is truncated")
-    if zlib.crc32(body) != crc:
+    if zlib.crc32(memoryview(data)[offset : offset + body_len]) != crc:
         raise SnapshotError("snapshot payload is corrupted (checksum mismatch)")
+    # A stream over the whole file reads the payload in place, without a copy.
+    stream = io.BytesIO(data)
+    stream.seek(offset)
     try:
-        return _SnapshotUnpickler(io.BytesIO(body)).load()
+        return _SnapshotUnpickler(stream).load()
     except Exception as exc:
         raise SnapshotError(f"snapshot payload failed to deserialize: {exc}") from exc
 
