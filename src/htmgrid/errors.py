@@ -46,6 +46,12 @@ def check_indices(values: np.ndarray, bound: int, what: str, increasing: bool = 
         raise SnapshotError(f"{what} must be {order}integers in [0, {bound})")
 
 
+def check_fractions(values: np.ndarray, what: str) -> None:
+    """Raise ``SnapshotError`` unless every value lies in ``[0, 1]``; NaN does not."""
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
+        raise SnapshotError(f"{what} must lie in [0, 1]")
+
+
 def non_finite(prefix: str, params) -> list[str]:
     """A problem for each float field of the dataclass ``params`` that is NaN or infinite."""
     return [f"{prefix}.{name} must be finite, got {value}"

@@ -1,18 +1,21 @@
 """The streaming engine: an independent pooler + sequence memory per cell.
 
 Each frame cell runs its own pipeline so activity in one part of the frame
-can never change what counts as normal elsewhere.  Per cell and frame:
+can never change what counts as normal elsewhere.  Per frame:
 
 1. encode the frame: each cell's class windows laid end to end,
-2. spatial pooling,
-3. shift the pooled output into a short history ring, oldest row first, and
-   feed the flattened ring to the sequence memory, so "moving" and
-   "standing still" produce different inputs,
+2. spatial pooling, one batched call per group of cells whose pooler
+   parameters differ only in seed (a cell with its own override is a group
+   of one),
+3. shift each cell's pooled output into a short history ring, oldest row
+   first, and feed the flattened ring to the cell's sequence memory, so
+   "moving" and "standing still" produce different inputs,
 4. optionally zero the reported score on the frame a cell turns from
    empty to occupied, which is unpredictable by construction.
 
 Cells share no state, so one cell's input never changes another cell's
-scores.  They run one after another in a fixed row-major order.
+scores.  Their poolers step as one batch; their sequence memories step one
+after another in a fixed row-major order.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .aggregation import AggregationKind, aggregate
 from .encoder import EncoderConfig, encode_frame
 from .errors import ConfigError, SnapshotError, check_bits
 from .sdr import concatenate  # unused here; perfbench's traced spans rebind it
-from .spatial_pooler import SpParams, SpatialPooler
+from .spatial_pooler import PoolerCell, SpParams, SpatialPooler
 from .temporal_memory import TmParams, TemporalMemory
 from . import snapshot
 
@@ -126,34 +129,29 @@ class FrameResult:
 
 
 class CellUnit:
+    """One cell's view of the model: its pooler cell, sequence memory and history ring."""
+
     __slots__ = ("sp", "tm", "history")
 
-    def __init__(self, sp: SpatialPooler, tm: TemporalMemory, multistep_n: int):
+    def __init__(self, sp: PoolerCell, tm: TemporalMemory, history: np.ndarray):
         self.sp = sp
         self.tm = tm
-        self.history = np.zeros((multistep_n, sp.params.column_count), dtype=bool)
-
-    def step(self, bits: np.ndarray, learn: bool) -> tuple[float, int]:
-        self.history[:-1] = self.history[1:]
-        self.history[-1] = self.sp.compute(bits, learn)
-        result = self.tm.compute(self.history.reshape(-1), learn)
-        return result.anomaly_score, result.predictive_column_count
+        self.history = history
 
 
-def _load_unit(config: GridConfig, coord: tuple[int, int], state: dict) -> CellUnit:
-    """Cell ``coord``'s unit from ``state``, with the parameters ``config`` gives it."""
+def _load_unit(config: GridConfig, coord: tuple[int, int], state: dict) -> tuple:
+    """Cell ``coord``'s pooler (a group of one), memory and history ring from ``state``."""
     sp_params, tm_params = config.cell_params(coord)
     sp = SpatialPooler.__new__(SpatialPooler)
     tm = TemporalMemory.__new__(TemporalMemory)
     try:
-        sp.load_state_dict(state["sp"], sp_params)
+        sp.load_state_dict([state["sp"]], [sp_params])
         tm.load_state_dict(state["tm"], tm_params)
-        unit = CellUnit(sp, tm, config.multistep_n)
-        check_bits(state["history"], unit.history.shape, "history ring", SnapshotError)
+        check_bits(state["history"], (config.multistep_n, sp_params.column_count),
+                   "history ring", SnapshotError)
     except SnapshotError as exc:
         raise SnapshotError(f"snapshot unit {coord}: {exc}") from exc
-    unit.history[:] = state["history"]
-    return unit
+    return sp, tm, state["history"]
 
 
 def derive_cell_seeds(grid_seed: int, coord: tuple[int, int]) -> tuple[int, int]:
@@ -171,32 +169,54 @@ class GridModel:
         self.config = config
         grows, gcols = config.encoder.grid_shape
         self.grid_shape = (grows, gcols)
-        self.units = [
-            [CellUnit(SpatialPooler(sp), TemporalMemory(tm), config.multistep_n)
-             for sp, tm in (config.cell_params((r, c)) for c in range(gcols))]
-            for r in range(grows)
-        ]
+        cells = [config.cell_params((r, c)) for r in range(grows) for c in range(gcols)]
+        self._place([SpatialPooler([sp]) for sp, _ in cells],
+                    [TemporalMemory(tm) for _, tm in cells])
         # Which class windows of each cell held the empty pattern last frame.
         self.prev_empty = np.zeros((grows, gcols, config.encoder.class_count), dtype=bool)
         self.frame_counter = 0
         self._agg_history: deque[float] = deque(maxlen=config.smoothing_window)
 
+    def _place(self, poolers, tms, histories=None) -> None:
+        """Stack the row-major cells' poolers into groups and give each cell its unit.
+
+        A group holds the cells whose pooler parameters differ only in seed,
+        with one history ring per cell, empty unless ``histories`` fills it.
+        """
+        keys = [sp.params[0].group_key for sp in poolers]
+        self._groups, units = [], [None] * len(keys)
+        for key in dict.fromkeys(keys):
+            members = [k for k, other in enumerate(keys) if other == key]
+            group = SpatialPooler.stack([poolers[k] for k in members])
+            rings = np.zeros((len(members), self.config.multistep_n,
+                              group.params[0].column_count), dtype=bool)
+            self._groups.append((np.array(members), group, rings))
+            for k, cell, ring in zip(members, group.cells, rings):
+                if histories:
+                    ring[:] = histories[k]
+                units[k] = CellUnit(cell, tms[k], ring)
+        gcols = self.grid_shape[1]
+        self.units = [units[k : k + gcols] for k in range(0, len(units), gcols)]
+
     def unit(self, r: int, c: int) -> CellUnit:
         return self.units[r][c]
 
     def step(self, planes, learn: bool = True, workers: int = 1) -> FrameResult:
-        """Process one frame, one cell after another.
+        """Process one frame: each pooler group at once, then each cell's memory in turn.
 
         ``workers`` is accepted for compatibility and does not change how
         cells run.
         """
         bits, empty = encode_frame(self.config.encoder, planes)
-        grows, gcols = self.grid_shape
+        bits = bits.reshape(-1, bits.shape[-1])
+        for members, group, rings in self._groups:
+            rings[:, :-1] = rings[:, 1:]
+            rings[:, -1] = group.compute(bits[members], learn)
         raw = np.zeros(self.grid_shape, dtype=np.float64)
         certainty = np.zeros(self.grid_shape, dtype=np.int64)
-        for r in range(grows):
-            for c in range(gcols):
-                raw[r, c], certainty[r, c] = self.units[r][c].step(bits[r, c], learn)
+        for k, unit in enumerate(unit for row in self.units for unit in row):
+            result = unit.tm.compute(unit.history.reshape(-1), learn)
+            raw.flat[k], certainty.flat[k] = result.anomaly_score, result.predictive_column_count
         # A cell whose class window turns from empty to occupied has no
         # predictable first frame; its reported score is zeroed.
         entered = np.any(self.prev_empty & ~empty, axis=2)
@@ -251,18 +271,19 @@ class GridModel:
                        "snapshot prev_empty", SnapshotError)
             if [len(row) for row in state["units"]] != [gcols] * grows:
                 raise SnapshotError(f"snapshot units do not fill its {grows}x{gcols} grid")
-            units = [[_load_unit(config, (r, c), u) for c, u in enumerate(row)]
-                     for r, row in enumerate(state["units"])]
+            poolers, tms, histories = zip(*(
+                _load_unit(config, (r, c), u)
+                for r, row in enumerate(state["units"]) for c, u in enumerate(row)))
         except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
                 ValueError) as exc:
             raise SnapshotError(f"snapshot payload is not a grid model: {exc!r}") from exc
         self.config = config
         self.grid_shape = (grows, gcols)
+        self._place(poolers, tms, histories)
         # An asarray view carries numpy's own bool dtype, which snapshot bytes share.
         self.prev_empty = np.asarray(prev_empty, dtype=bool)
         self.frame_counter = frame_counter
         self._agg_history = deque(agg_history, maxlen=config.smoothing_window)
-        self.units = units
 
     def to_bytes(self) -> bytes:
         return snapshot.pack(SNAPSHOT_KIND, SNAPSHOT_VERSION, self.state_dict())

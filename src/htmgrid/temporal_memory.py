@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SnapshotError, check_bits, check_indices, non_finite
+from .errors import (ConfigError, SnapshotError, check_bits, check_fractions, check_indices,
+                     non_finite)
 
 __all__ = ["TmParams", "TmStepResult", "TemporalMemory"]
 
@@ -377,7 +378,7 @@ class TemporalMemory:
         """Fill the store from ``state`` under ``params``; segment arrays are copied.
 
         Raises ``SnapshotError``, before anything is assigned, if an index or a
-        segment's length does not fit ``params``.
+        segment's length does not fit ``params``, or a permanence lies outside [0, 1].
         """
         total_cells = params.column_count * params.cells_per_column
         width = params.max_synapses_per_segment
@@ -397,6 +398,7 @@ class TemporalMemory:
             raise SnapshotError(f"tm segments must hold at most {width} synapses, "
                                 "each with a permanence and a last_reinforced step")
         check_indices(synapses[0], total_cells, "tm presyn cells", increasing=False)
+        check_fractions(synapses[1], "tm synapse permanences")
         for name, value in zip(_STEP, step):
             check_indices(value, total_cells, f"tm {name}")
         rng = np.random.default_rng(0)

@@ -71,6 +71,51 @@ def moving_average(series, window: int) -> np.ndarray:
     return out
 
 
+class PerCellPooler:
+    """One cell's spatial pooler stepped on its own, the oracle for ``SpatialPooler`` groups.
+
+    Draws the cell's pools and permanences from its seed, gathers its input
+    bits through the pools and recomputes the connected synapses on every
+    step, as the engine did before cells were pooled as a batch.
+    """
+
+    def __init__(self, params):
+        self.params = p = params
+        rng = np.random.default_rng(p.seed)
+        order = np.argsort(rng.random((p.column_count, p.input_width)), axis=1)
+        self.pools = np.sort(order[:, : p.pool_size], axis=1).astype(np.int64)
+        low, high = p.connected_threshold - 0.1, p.connected_threshold + 0.1
+        self.permanences = np.clip(rng.uniform(low, high, size=self.pools.shape), 0.0, 1.0)
+        self.step_count = 0
+        self.duty_cycles = np.zeros(p.column_count, dtype=np.float64)
+
+    def compute(self, bits: np.ndarray, learn: bool) -> np.ndarray:
+        p = self.params
+        pooled_active = bits[self.pools]
+        connected = self.permanences >= p.connected_threshold
+        overlaps = np.count_nonzero(pooled_active & connected, axis=1)
+
+        ranking = overlaps
+        if p.boosting_enabled:
+            target = p.active_columns / p.column_count
+            factors = np.exp(p.boost_strength * (target - self.duty_cycles) / target)
+            ranking = overlaps * factors
+        eligible = np.flatnonzero(overlaps >= p.stimulus_threshold)
+        order = np.lexsort((eligible, -ranking[eligible]))
+        active = np.zeros(p.column_count, dtype=bool)
+        active[eligible[order[: p.active_columns]]] = True
+
+        if learn:
+            delta = np.where(pooled_active[active], p.permanence_increment,
+                             -p.permanence_decrement)
+            self.permanences[active] = np.clip(self.permanences[active] + delta, 0.0, 1.0)
+            if p.boosting_enabled:
+                horizon = min(self.step_count + 1, 1000)
+                self.duty_cycles += (active - self.duty_cycles) / horizon
+            self.step_count += 1
+        return active
+
+
 def loop_object(velocity=(0, 3), start=(15, 0), shape=(6, 6)):
     return ObjectTrack(shape=shape, path=LinearLoop(start=start, velocity=velocity))
 

@@ -1,4 +1,5 @@
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from htmgrid import (
     GridModel,
     SnapshotError,
     SpParams,
+    SpatialPooler,
+    TemporalMemory,
     build_grid_config,
     encode_frame,
     generate,
 )
-from htmgrid.grid import CellUnit
+from htmgrid.config import parse_run_config
 from tests.conftest import loop_scenario, moving_average, results_equal
 
 
@@ -186,13 +189,13 @@ def test_single_frame_dropout_dilution(small_grid_config):
 def test_parallel_matches_sequential(small_grid_config, monkeypatch):
     # workers > 1 starts no thread: every cell steps on the calling thread.
     seen = []
-    cell_step = CellUnit.step
+    tm_compute = TemporalMemory.compute
 
-    def recording_step(unit, cell_input, learn):
+    def recording_compute(tm, active_columns, learn):
         seen.append((threading.current_thread(), threading.active_count()))
-        return cell_step(unit, cell_input, learn)
+        return tm_compute(tm, active_columns, learn)
 
-    monkeypatch.setattr(CellUnit, "step", recording_step)
+    monkeypatch.setattr(TemporalMemory, "compute", recording_compute)
     frames = generate(loop_scenario(60))
     seq, par = GridModel(small_grid_config), GridModel(small_grid_config)
     before = threading.active_count()
@@ -205,6 +208,37 @@ def test_parallel_matches_sequential(small_grid_config, monkeypatch):
         thread is threading.current_thread() and count == before
         for thread, count in seen
     )
+
+
+def test_override_group_of_one_steps_as_a_standalone_cell(monkeypatch):
+    # Cell (1, 2) pools through 64 columns, so its pooler is a group of its
+    # own; it must step as a one-cell model with the same parameters does.
+    group_sizes = []
+    sp_compute = SpatialPooler.compute
+
+    def recording_compute(sp, bits, learn):
+        group_sizes.append(len(bits))
+        return sp_compute(sp, bits, learn)
+
+    monkeypatch.setattr(SpatialPooler, "compute", recording_compute)
+    run = parse_run_config("input = stream\nencoder.frame_size = 36x36\n"
+                           "grid.seed = 7\ncell.1.2.sp.column_count = 64\n")
+    model = GridModel(run.grid)
+    sp, tm = run.grid.cell_params((1, 2))
+    alone = GridModel(replace(
+        run.grid, encoder=replace(run.grid.encoder, frame_size=(12, 12)),
+        per_cell_overrides={(0, 0): CellOverride(sp=sp, tm=tm)}))
+    for t, planes in enumerate(generate(loop_scenario(80))):
+        result = model.step(planes, learn=t < 60)
+        assert sorted(group_sizes) == [1, 8]
+        single = alone.step([plane[12:24, 24:36] for plane in planes], learn=t < 60)
+        group_sizes.clear()
+        assert result.raw_scores[1, 2] == single.raw_scores[0, 0]
+        assert result.certainty[1, 2] == single.certainty[0, 0]
+    cell, other = model.unit(1, 2), alone.unit(0, 0)
+    assert np.array_equal(cell.history, other.history)
+    assert np.array_equal(cell.sp.permanences, other.sp.permanences)
+    assert cell.tm.segment_count == other.tm.segment_count > 0
 
 
 def test_snapshot_restore_replays_identically(warmed_loop_model):

@@ -224,8 +224,16 @@ def test_payload_holds_no_derivable_state():
                                  "active_cells", "winner_cells"}
 
 
-# Damage to each check of the indices a loaded unit uses: the problem it names,
-# and the entries it changes in the unit's SP state, TM state or first segment.
+def first_set(values, value):
+    """A float copy of ``values`` whose first entry is ``value``."""
+    out = np.array(values, dtype=np.float64)
+    out.flat[0] = value
+    return out
+
+
+# Damage to each check of the indices and learned values a loaded unit uses:
+# the problem it names, and the entries it changes in the unit's SP state, TM
+# state or first segment.
 # A 2-class cell has 288 input bits and 2048 memory cells of at most 32
 # synapses per segment.
 INDEX_DAMAGE = {
@@ -259,6 +267,19 @@ INDEX_DAMAGE = {
                           lambda sp, tm, seg: (sp, {"permanences": sp["permanences"][:-1]})),
     "duty-cycles-shape": ("permanences and duty cycles",
                           lambda sp, tm, seg: (sp, {"duty_cycles": sp["duty_cycles"][:-1]})),
+    # Learned values outside [0, 1], which nothing the engine writes can hold.
+    "permanences-nan": (r"permanences must lie in \[0, 1\]", lambda sp, tm, seg: (
+        sp, {"permanences": first_set(sp["permanences"], np.nan)})),
+    "permanences-above-one": (r"permanences must lie in \[0, 1\]", lambda sp, tm, seg: (
+        sp, {"permanences": first_set(sp["permanences"], 1.5)})),
+    "duty-cycles-inf": (r"duty cycles must lie in \[0, 1\]", lambda sp, tm, seg: (
+        sp, {"duty_cycles": first_set(sp["duty_cycles"], np.inf)})),
+    "tm-perm-nan": (r"synapse permanences must lie in \[0, 1\]", lambda sp, tm, seg: (
+        seg, {"perm": first_set(seg["perm"], np.nan)})),
+    "tm-perm-inf": (r"synapse permanences must lie in \[0, 1\]", lambda sp, tm, seg: (
+        seg, {"perm": first_set(seg["perm"], -np.inf)})),
+    "tm-perm-above-one": (r"synapse permanences must lie in \[0, 1\]", lambda sp, tm, seg: (
+        seg, {"perm": first_set(seg["perm"], 1.5)})),
 }
 
 

@@ -1,8 +1,12 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from htmgrid import ConfigError, ContractError, Sdr, SpParams, SpatialPooler
-from tests.conftest import dense, states_equal
+from htmgrid import ConfigError, ContractError, Sdr, SnapshotError, SpParams, SpatialPooler
+from tests.conftest import PerCellPooler, dense, states_equal
 
 
 def make_params(**kwargs):
@@ -11,14 +15,24 @@ def make_params(**kwargs):
     return SpParams(**defaults)
 
 
+def pooler(**kwargs) -> SpatialPooler:
+    """A group of one cell."""
+    return SpatialPooler([make_params(**kwargs)])
+
+
+def step(sp: SpatialPooler, bits: np.ndarray, learn: bool) -> np.ndarray:
+    """The winners of a group of one for a 1-D input."""
+    return sp.compute(bits[None], learn)[0]
+
+
 def test_construction_is_deterministic():
-    a, b = SpatialPooler(make_params()), SpatialPooler(make_params())
+    a, b = pooler().cells[0], pooler().cells[0]
     assert np.array_equal(a.pools, b.pools)
     assert np.array_equal(a.permanences, b.permanences)
 
 
 def test_pool_size_matches_fraction():
-    sp = SpatialPooler(make_params(potential_fraction=0.85))
+    sp = pooler(potential_fraction=0.85).cells[0]
     assert sp.params.pool_size == round(0.85 * 144)
     assert sp.pools.shape == (128, sp.params.pool_size)
     # every pool is a distinct subset of the input
@@ -27,69 +41,78 @@ def test_pool_size_matches_fraction():
 
 
 def test_full_potential_fraction_pools_everything():
-    sp = SpatialPooler(make_params(potential_fraction=1.0))
+    sp = pooler(potential_fraction=1.0).cells[0]
     assert np.array_equal(sp.pools, np.tile(np.arange(144), (128, 1)))
 
 
 def test_single_column_degenerate_grid():
-    sp = SpatialPooler(make_params(column_count=1, active_columns=1))
-    out = sp.compute(dense(144, range(40)), learn=False)
+    sp = pooler(column_count=1, active_columns=1)
+    out = step(sp, dense(144, range(40)), learn=False)
     assert out.dtype == bool and out.tolist() == [True]
 
 
 def test_active_columns_cap_validated():
     with pytest.raises(ConfigError):
-        SpatialPooler(make_params(column_count=4, active_columns=5))
+        pooler(column_count=4, active_columns=5)
+
+
+def test_group_cells_differ_only_in_seed():
+    with pytest.raises(ContractError, match="differ only in seed"):
+        SpatialPooler([make_params(), make_params(seed=6, stimulus_threshold=2)])
+    with pytest.raises(ContractError, match="differ only in seed"):
+        SpatialPooler([])
 
 
 @pytest.mark.parametrize("bits", [
-    np.zeros(100, dtype=bool),
-    np.ones(144, dtype=np.uint8),
-    np.zeros((1, 144), dtype=bool),
-    [False] * 144,
+    np.zeros((1, 100), dtype=bool),
+    np.ones((1, 144), dtype=np.uint8),
+    np.zeros((2, 144), dtype=bool),
+    np.zeros(144, dtype=bool),
+    [[False] * 144],
     Sdr(144, [1]),
-], ids=["wrong-length", "uint8-row", "2-d", "list", "sdr"])
+], ids=["wrong-length", "uint8-row", "2-d", "1-d", "list", "sdr"])
 def test_width_mismatch(bits):
-    sp = SpatialPooler(make_params())
-    with pytest.raises(ContractError, match=r"sp input must be bool of shape \(144,\)"):
+    # A group of one takes one row of 144 bits.
+    sp = pooler()
+    with pytest.raises(ContractError, match=r"sp input must be bool of shape \(1, 144\)"):
         sp.compute(bits, learn=False)
 
 
 def test_all_zero_input_gives_empty_output():
-    sp = SpatialPooler(make_params(stimulus_threshold=1))
-    out = sp.compute(dense(144), learn=True)
+    sp = pooler(stimulus_threshold=1)
+    out = step(sp, dense(144), learn=True)
     assert not out.any()
 
 
 def test_compute_is_pure_without_learning():
-    sp = SpatialPooler(make_params())
+    sp = pooler()
     x = dense(144, range(0, 30))
-    first = sp.compute(x, learn=False)
-    second = sp.compute(x, learn=False)
+    first = step(sp, x, learn=False)
+    second = step(sp, x, learn=False)
     assert np.array_equal(first, second)
-    assert sp.step_count == 0
+    assert sp.cells[0].step_count == 0
 
 
 def test_output_sparsity_bound():
-    sp = SpatialPooler(make_params())
+    sp = pooler()
     rng = np.random.default_rng(0)
     for _ in range(50):
         active = np.sort(rng.choice(144, 30, replace=False))
-        out = sp.compute(dense(144, active), learn=True)
+        out = step(sp, dense(144, active), learn=True)
         assert np.count_nonzero(out) <= 8
     # a rich input makes enough columns eligible to fill the quota
-    out = sp.compute(dense(144, range(144)), learn=False)
+    out = step(sp, dense(144, range(144)), learn=False)
     assert np.count_nonzero(out) == 8
 
 
 def test_permanences_stay_bounded_under_learning():
-    sp = SpatialPooler(make_params(permanence_increment=0.3, permanence_decrement=0.2))
+    sp = pooler(permanence_increment=0.3, permanence_decrement=0.2)
     rng = np.random.default_rng(1)
     for _ in range(300):
         active = np.sort(rng.choice(144, rng.integers(0, 60), replace=False))
-        sp.compute(dense(144, active), learn=True)
-    assert sp.permanences.min() >= 0.0
-    assert sp.permanences.max() <= 1.0
+        step(sp, dense(144, active), learn=True)
+    assert sp.permanences[0].min() >= 0.0
+    assert sp.permanences[0].max() <= 1.0
 
 
 def test_replay_reproduces_bit_identical_state():
@@ -97,11 +120,11 @@ def test_replay_reproduces_bit_identical_state():
     inputs = [
         dense(144, np.sort(rng.choice(144, 25, replace=False))) for _ in range(100)
     ]
-    a, b = SpatialPooler(make_params()), SpatialPooler(make_params())
-    outs_a = [a.compute(x, learn=True) for x in inputs]
-    outs_b = [b.compute(x, learn=True) for x in inputs]
+    a, b = pooler(), pooler()
+    outs_a = [step(a, x, learn=True) for x in inputs]
+    outs_b = [step(b, x, learn=True) for x in inputs]
     assert np.array_equal(outs_a, outs_b)
-    assert np.array_equal(a.permanences, b.permanences)
+    assert np.array_equal(a.permanences[0], b.permanences[0])
 
 
 def test_similar_inputs_map_closer_than_disjoint_inputs():
@@ -115,62 +138,146 @@ def test_similar_inputs_map_closer_than_disjoint_inputs():
     disjoint_a = dense(144, np.arange(0, 30))
     disjoint_b = dense(144, np.arange(40, 70))
 
-    sp_sim, sp_dis = SpatialPooler(make_params()), SpatialPooler(make_params())
+    sp_sim, sp_dis = pooler(), pooler()
     for _ in range(100):
-        sp_sim.compute(similar_a, learn=True)
-        sp_sim.compute(similar_b, learn=True)
-        sp_dis.compute(disjoint_a, learn=True)
-        sp_dis.compute(disjoint_b, learn=True)
+        step(sp_sim, similar_a, learn=True)
+        step(sp_sim, similar_b, learn=True)
+        step(sp_dis, disjoint_a, learn=True)
+        step(sp_dis, disjoint_b, learn=True)
     sim_overlap = np.count_nonzero(
-        sp_sim.compute(similar_a, learn=False) & sp_sim.compute(similar_b, learn=False)
+        step(sp_sim, similar_a, learn=False) & step(sp_sim, similar_b, learn=False)
     )
     dis_overlap = np.count_nonzero(
-        sp_dis.compute(disjoint_a, learn=False) & sp_dis.compute(disjoint_b, learn=False)
+        step(sp_dis, disjoint_a, learn=False) & step(sp_dis, disjoint_b, learn=False)
     )
     assert sim_overlap > dis_overlap
 
 
 def test_boosting_disabled_means_no_duty_cycle_movement():
-    sp = SpatialPooler(make_params(boosting_enabled=False))
+    sp = pooler(boosting_enabled=False)
     for _ in range(20):
-        sp.compute(dense(144, range(30)), learn=True)
+        step(sp, dense(144, range(30)), learn=True)
     assert np.all(sp.duty_cycles == 0.0)
 
 
 def test_boosting_enabled_rotates_winners_on_constant_input():
-    sp = SpatialPooler(make_params(boosting_enabled=True, boost_strength=10.0))
+    sp = pooler(boosting_enabled=True, boost_strength=10.0)
     seen = set()
     for _ in range(80):
-        out = sp.compute(dense(144, range(30)), learn=True)
+        out = step(sp, dense(144, range(30)), learn=True)
         seen.update(np.flatnonzero(out).tolist())
     # duty-cycle pressure forces column turnover that a plain pooler avoids
     assert len(seen) > 8
 
 
 def test_snapshot_round_trip_bit_exact():
-    sp = SpatialPooler(make_params())
+    sp = pooler()
     rng = np.random.default_rng(3)
     inputs = [dense(144, np.sort(rng.choice(144, 20, replace=False))) for _ in range(30)]
     for x in inputs:
-        sp.compute(x, learn=True)
+        step(sp, x, learn=True)
     restored = SpatialPooler.__new__(SpatialPooler)
     restored.load_state_dict(sp.state_dict(), sp.params)
     assert states_equal(restored.state_dict(), sp.state_dict())
+    assert np.array_equal(restored.connected, sp.connected)
     for x in inputs:
-        assert np.array_equal(restored.compute(x, learn=True), sp.compute(x, learn=True))
+        assert np.array_equal(step(restored, x, learn=True), step(sp, x, learn=True))
 
 
 def test_loaded_state_is_not_shared_with_its_source():
-    sp = SpatialPooler(make_params(boosting_enabled=True))
+    sp = pooler(boosting_enabled=True)
     rng = np.random.default_rng(19)
     inputs = [dense(144, np.sort(rng.choice(144, 20, replace=False))) for _ in range(20)]
     for x in inputs[:10]:
-        sp.compute(x, learn=True)
-    state = sp.state_dict()
+        step(sp, x, learn=True)
+    (state,) = sp.state_dict()
     permanences, duty_cycles = state["permanences"].copy(), state["duty_cycles"].copy()
     restored = SpatialPooler.__new__(SpatialPooler)
-    restored.load_state_dict(state, sp.params)
+    restored.load_state_dict([state], sp.params)
     for x in inputs[10:]:
-        restored.compute(x, learn=True)
+        step(restored, x, learn=True)
     assert np.array_equal(state["permanences"], permanences)
     assert np.array_equal(state["duty_cycles"], duty_cycles)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("permanences", np.nan), ("permanences", -0.1), ("duty_cycles", np.inf),
+], ids=["permanence-nan", "permanence-negative", "duty-cycle-inf"])
+def test_load_rejects_learned_values_outside_the_unit_interval(name, value):
+    sp = pooler()
+    (state,) = sp.state_dict()
+    state[name] = state[name].copy()
+    state[name].flat[3] = value
+    with pytest.raises(SnapshotError, match=r"must lie in \[0, 1\]"):
+        SpatialPooler.__new__(SpatialPooler).load_state_dict([state], sp.params)
+
+
+def test_cells_read_the_group_in_place():
+    group = SpatialPooler([make_params(seed=s, boosting_enabled=True) for s in (1, 2, 3)])
+    cell = group.cells[1]
+    group.compute(np.ones((3, 144), dtype=bool), learn=True)
+    assert cell.permanences is group.permanences[1]
+    assert cell.step_count == 1
+    assert np.shares_memory(cell.duty_cycles, group.duty_cycles)
+    assert cell.duty_cycles.any()
+
+
+def test_stacked_groups_step_as_one_group():
+    params = [make_params(seed=s) for s in (4, 5, 6)]
+    rng = np.random.default_rng(2)
+    inputs = [rng.random((3, 144)) < 0.2 for _ in range(10)]
+    whole = SpatialPooler(params)
+    stacked = SpatialPooler.stack([SpatialPooler(params[:1]), SpatialPooler(params[1:])])
+    for bits in inputs:
+        assert np.array_equal(whole.compute(bits, True), stacked.compute(bits, True))
+    assert states_equal(whole.state_dict(), stacked.state_dict())
+    assert np.array_equal(whole.connected, stacked.connected)
+
+
+@st.composite
+def pooler_runs(draw):
+    """A group of 1-12 cells with random seeds, and inputs for a few steps."""
+    width = draw(st.integers(1, 40))
+    columns = draw(st.integers(1, 24))
+    boosting = draw(st.booleans())
+    base = SpParams(
+        input_width=width,
+        column_count=columns,
+        active_columns=draw(st.integers(1, columns)),
+        potential_fraction=draw(st.sampled_from([0.3, 0.85, 1.0])),
+        connected_threshold=draw(st.sampled_from([0.1, 0.2, 0.5])),
+        permanence_increment=draw(st.sampled_from([0.05, 0.3])),
+        permanence_decrement=draw(st.sampled_from([0.0, 0.008, 0.2])),
+        stimulus_threshold=draw(st.integers(0, 3)),
+        boosting_enabled=boosting,
+        # A strong boost overflows exp on unused columns, which ranks them NaN.
+        boost_strength=draw(st.sampled_from([0.5, 2.0, 800.0])) if boosting else 2.0,
+    )
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12))
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        # Sparse, dense, all-zero and all-one rows; narrow inputs tie overlaps.
+        density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+        seed = draw(st.integers(0, 2**32 - 1))
+        bits = np.random.default_rng(seed).random((len(seeds), width)) < density
+        steps.append((bits, draw(st.booleans())))
+    return [replace(base, seed=s) for s in seeds], steps
+
+
+@settings(max_examples=80, deadline=None)
+@given(pooler_runs())
+def test_group_matches_per_cell_oracle(run):
+    params, steps = run
+    group = SpatialPooler(params)
+    oracles = [PerCellPooler(p) for p in params]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # exp overflow under strong boosts
+        for bits, learn in steps:
+            got = group.compute(bits, learn)
+            want = [oracle.compute(row, learn) for oracle, row in zip(oracles, bits)]
+            assert np.array_equal(got, np.array(want))
+    for cell, oracle in zip(group.cells, oracles):
+        assert np.array_equal(cell.pools, oracle.pools)
+        assert np.array_equal(cell.permanences, oracle.permanences)
+        assert np.array_equal(cell.duty_cycles, oracle.duty_cycles)
+        assert cell.step_count == oracle.step_count
