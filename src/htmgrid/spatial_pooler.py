@@ -195,7 +195,8 @@ class SpatialPooler:
         """Restore cell ``i`` from ``states[i]`` under ``params[i]``.
 
         Raises ``SnapshotError``, before anything is assigned, if an array
-        does not fit its parameters or a learned value lies outside [0, 1].
+        does not fit its parameters, a learned value lies outside [0, 1], or a
+        step count is negative.
         """
         loaded = [_checked_state(state, p) for state, p in zip(states, params, strict=True)]
         pools, permanences, step_counts, duty_cycles = zip(*loaded)
@@ -247,6 +248,8 @@ def _checked_state(state: dict, params: SpParams) -> tuple:
     duty_cycles = np.asarray(state["duty_cycles"], dtype=np.float64)
     if permanences.shape != shape or duty_cycles.shape != shape[:1]:
         raise SnapshotError("sp permanences and duty cycles must match the pools")
+    if step_count < 0:
+        raise SnapshotError("sp step count must be non-negative")
     check_fractions(permanences, "sp permanences")
     check_fractions(duty_cycles, "sp duty cycles")
     # Copy what learning mutates; pools never change.  Copies of asarray

@@ -272,6 +272,10 @@ INDEX_DAMAGE = {
         sp, {"permanences": first_set(sp["permanences"], np.nan)})),
     "permanences-above-one": (r"permanences must lie in \[0, 1\]", lambda sp, tm, seg: (
         sp, {"permanences": first_set(sp["permanences"], 1.5)})),
+    "permanences-negative": (r"permanences must lie in \[0, 1\]", lambda sp, tm, seg: (
+        sp, {"permanences": first_set(sp["permanences"], -0.1)})),
+    "step-count-negative": ("step count must be non-negative",
+                            lambda sp, tm, seg: (sp, {"step_count": -1})),
     "duty-cycles-inf": (r"duty cycles must lie in \[0, 1\]", lambda sp, tm, seg: (
         sp, {"duty_cycles": first_set(sp["duty_cycles"], np.inf)})),
     "tm-perm-nan": (r"synapse permanences must lie in \[0, 1\]", lambda sp, tm, seg: (
