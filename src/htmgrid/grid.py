@@ -154,6 +154,12 @@ def _load_unit(config: GridConfig, coord: tuple[int, int], state: dict) -> tuple
     return sp, tm, state["history"]
 
 
+def _pooler_groups(params: list) -> list[list[int]]:
+    """The cell indices of each pooler group: cells whose parameters differ only in seed."""
+    keys = [p.group_key for p in params]
+    return [[k for k, other in enumerate(keys) if other == key] for key in dict.fromkeys(keys)]
+
+
 def derive_cell_seeds(grid_seed: int, coord: tuple[int, int]) -> tuple[int, int]:
     """Deterministic (sp_seed, tm_seed) for one cell of the grid."""
     sp_seed = np.random.SeedSequence([grid_seed, coord[0], coord[1], 0])
@@ -170,24 +176,22 @@ class GridModel:
         grows, gcols = config.encoder.grid_shape
         self.grid_shape = (grows, gcols)
         cells = [config.cell_params((r, c)) for r in range(grows) for c in range(gcols)]
-        self._place([SpatialPooler([sp]) for sp, _ in cells],
+        self._place([(members, SpatialPooler([cells[k][0] for k in members]))
+                     for members in _pooler_groups([sp for sp, _ in cells])],
                     [TemporalMemory(tm) for _, tm in cells])
         # Which class windows of each cell held the empty pattern last frame.
         self.prev_empty = np.zeros((grows, gcols, config.encoder.class_count), dtype=bool)
         self.frame_counter = 0
         self._agg_history: deque[float] = deque(maxlen=config.smoothing_window)
 
-    def _place(self, poolers, tms, histories=None) -> None:
-        """Stack the row-major cells' poolers into groups and give each cell its unit.
+    def _place(self, groups, tms, histories=None) -> None:
+        """Give each row-major cell its unit from ``(members, pooler group)`` pairs.
 
-        A group holds the cells whose pooler parameters differ only in seed,
-        with one history ring per cell, empty unless ``histories`` fills it.
+        Each group gets one history ring per cell, empty unless ``histories``
+        fills it.
         """
-        keys = [sp.params[0].group_key for sp in poolers]
-        self._groups, units = [], [None] * len(keys)
-        for key in dict.fromkeys(keys):
-            members = [k for k, other in enumerate(keys) if other == key]
-            group = SpatialPooler.stack([poolers[k] for k in members])
+        self._groups, units = [], [None] * len(tms)
+        for members, group in groups:
             rings = np.zeros((len(members), self.config.multistep_n,
                               group.params[0].column_count), dtype=bool)
             self._groups.append((np.array(members), group, rings))
@@ -279,7 +283,9 @@ class GridModel:
             raise SnapshotError(f"snapshot payload is not a grid model: {exc!r}") from exc
         self.config = config
         self.grid_shape = (grows, gcols)
-        self._place(poolers, tms, histories)
+        self._place([(members, SpatialPooler.stack([poolers[k] for k in members]))
+                     for members in _pooler_groups([sp.params[0] for sp in poolers])],
+                    tms, histories)
         # An asarray view carries numpy's own bool dtype, which snapshot bytes share.
         self.prev_empty = np.asarray(prev_empty, dtype=bool)
         self.frame_counter = frame_counter
