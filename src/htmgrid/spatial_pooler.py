@@ -238,7 +238,7 @@ def _packed_rows(pools: np.ndarray, connected: np.ndarray, width: int) -> np.nda
 
 
 def _checked_state(state: dict, params: SpParams) -> tuple:
-    """(pools, permanences, step count, duty cycles) of one cell's ``state``, copied."""
+    """(pools, permanences, step count, duty cycles) of one cell's ``state``, checked."""
     pools, step_count = np.asarray(state["pools"]), int(state["step_count"])
     shape = (params.column_count, params.pool_size)
     if pools.shape != shape:
