@@ -8,14 +8,15 @@ can never change what counts as normal elsewhere.  Per frame:
    parameters differ only in seed (a cell with its own override is a group
    of one),
 3. shift each cell's pooled output into a short history ring, oldest row
-   first, and feed the flattened ring to the cell's sequence memory, so
-   "moving" and "standing still" produce different inputs,
+   first, and feed the flattened rings to the sequence memories, again one
+   batched call per group of cells whose memory parameters differ only in
+   seed, so "moving" and "standing still" produce different inputs,
 4. optionally zero the reported score on the frame a cell turns from
    empty to occupied, which is unpredictable by construction.
 
 Cells share no state, so one cell's input never changes another cell's
-scores.  Their poolers step as one batch; their sequence memories step one
-after another in a fixed row-major order.
+scores, even though their poolers and their sequence memories each step as
+one batch.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .encoder import EncoderConfig, encode_frame
 from .errors import ConfigError, SnapshotError, check_bits
 from .sdr import concatenate  # unused here; perfbench's traced spans rebind it
 from .spatial_pooler import PoolerCell, SpParams, SpatialPooler
-from .temporal_memory import TmParams, TemporalMemory
+from .temporal_memory import MemoryCell, TmParams, TemporalMemory, checked_state
 from . import snapshot
 
 __all__ = [
@@ -129,24 +131,26 @@ class FrameResult:
 
 
 class CellUnit:
-    """One cell's view of the model: its pooler cell, sequence memory and history ring."""
+    """One cell's view of the model: its pooler cell, memory cell and history ring."""
 
     __slots__ = ("sp", "tm", "history")
 
-    def __init__(self, sp: PoolerCell, tm: TemporalMemory, history: np.ndarray):
+    def __init__(self, sp: PoolerCell, tm: MemoryCell, history: np.ndarray):
         self.sp = sp
         self.tm = tm
         self.history = history
 
 
-def _load_unit(config: GridConfig, coord: tuple[int, int], state: dict) -> tuple:
-    """Cell ``coord``'s pooler (a group of one), memory and history ring from ``state``."""
-    sp_params, tm_params = config.cell_params(coord)
+def _load_unit(config: GridConfig, coord: tuple[int, int], params: tuple, state: dict) -> tuple:
+    """Cell ``coord``'s pooler (a group of one), checked memory state and history ring.
+
+    ``params`` are the cell's ``(SpParams, TmParams)``.
+    """
+    sp_params, tm_params = params
     sp = SpatialPooler.__new__(SpatialPooler)
-    tm = TemporalMemory.__new__(TemporalMemory)
     try:
         sp.load_state_dict([state["sp"]], [sp_params])
-        tm.load_state_dict(state["tm"], tm_params)
+        tm = checked_state(state["tm"], tm_params)
         check_bits(state["history"], (config.multistep_n, sp_params.column_count),
                    "history ring", SnapshotError)
     except SnapshotError as exc:
@@ -154,10 +158,21 @@ def _load_unit(config: GridConfig, coord: tuple[int, int], state: dict) -> tuple
     return sp, tm, state["history"]
 
 
-def _pooler_groups(params: list) -> list[list[int]]:
-    """The cell indices of each pooler group: cells whose parameters differ only in seed."""
-    keys = [p.group_key for p in params]
+def _groups(keys: list) -> list[list[int]]:
+    """The indices of each group: entries whose keys are equal, in order of first entry."""
     return [[k for k, other in enumerate(keys) if other == key] for key in dict.fromkeys(keys)]
+
+
+def _cell_groups(cells: list) -> tuple[list, list]:
+    """Member lists of the pooler groups and memory groups of the row-major ``cells``.
+
+    Cells whose parameters differ only in seed are one group.  A memory
+    group lists its cells by pooler group, so it reads their rings in runs.
+    """
+    sp_groups = _groups([sp.group_key for sp, _ in cells])
+    order = [k for members in sp_groups for k in members]
+    tm_groups = _groups([cells[k][1].group_key for k in order])
+    return sp_groups, [[order[i] for i in members] for members in tm_groups]
 
 
 def derive_cell_seeds(grid_seed: int, coord: tuple[int, int]) -> tuple[int, int]:
@@ -176,37 +191,51 @@ class GridModel:
         grows, gcols = config.encoder.grid_shape
         self.grid_shape = (grows, gcols)
         cells = [config.cell_params((r, c)) for r in range(grows) for c in range(gcols)]
+        sp_groups, tm_groups = _cell_groups(cells)
         self._place([(members, SpatialPooler([cells[k][0] for k in members]))
-                     for members in _pooler_groups([sp for sp, _ in cells])],
-                    [TemporalMemory(tm) for _, tm in cells])
+                     for members in sp_groups],
+                    [(members, TemporalMemory([cells[k][1] for k in members]))
+                     for members in tm_groups])
         # Which class windows of each cell held the empty pattern last frame.
         self.prev_empty = np.zeros((grows, gcols, config.encoder.class_count), dtype=bool)
         self.frame_counter = 0
         self._agg_history: deque[float] = deque(maxlen=config.smoothing_window)
 
-    def _place(self, groups, tms, histories=None) -> None:
-        """Give each row-major cell its unit from ``(members, pooler group)`` pairs.
+    def _place(self, sp_groups, tm_groups, histories=None) -> None:
+        """Give each row-major cell its unit from the ``(members, group)`` pairs of each layer.
 
-        Each group gets one history ring per cell, empty unless ``histories``
-        fills it.
+        Each pooler group gets one history ring per cell, empty unless
+        ``histories`` fills it.  Each memory group reads its cells' rings in
+        runs, one per pooler group, as ``(rings, positions)`` parts.
         """
-        self._groups, units = [], [None] * len(tms)
-        for members, group in groups:
+        count = self.grid_shape[0] * self.grid_shape[1]
+        poolers, memories, rings_at = [None] * count, [None] * count, [None] * count
+        self._groups = []
+        for members, group in sp_groups:
             rings = np.zeros((len(members), self.config.multistep_n,
                               group.params[0].column_count), dtype=bool)
-            self._groups.append((np.array(members), group, rings))
-            for k, cell, ring in zip(members, group.cells, rings):
+            for i, (k, cell) in enumerate(zip(members, group.cells)):
                 if histories:
-                    ring[:] = histories[k]
-                units[k] = CellUnit(cell, tms[k], ring)
+                    rings[i] = histories[k]
+                poolers[k], rings_at[k] = cell, (len(self._groups), i)
+            self._groups.append((np.array(members), group, rings))
+        self._memories = []
+        for members, group in tm_groups:
+            runs = groupby((rings_at[k] for k in members), key=lambda at: at[0])
+            parts = [(self._groups[g][2], np.array([i for _, i in run])) for g, run in runs]
+            self._memories.append((np.array(members), group, parts))
+            for k, cell in zip(members, group.cells):
+                memories[k] = cell
+        units = [CellUnit(poolers[k], memories[k], self._groups[g][2][i])
+                 for k, (g, i) in enumerate(rings_at)]
         gcols = self.grid_shape[1]
-        self.units = [units[k : k + gcols] for k in range(0, len(units), gcols)]
+        self.units = [units[k : k + gcols] for k in range(0, count, gcols)]
 
     def unit(self, r: int, c: int) -> CellUnit:
         return self.units[r][c]
 
     def step(self, planes, learn: bool = True, workers: int = 1) -> FrameResult:
-        """Process one frame: each pooler group at once, then each cell's memory in turn.
+        """Process one frame: each pooler group at once, then each memory group at once.
 
         ``workers`` is accepted for compatibility and does not change how
         cells run.
@@ -218,9 +247,11 @@ class GridModel:
             rings[:, -1] = group.compute(bits[members], learn)
         raw = np.zeros(self.grid_shape, dtype=np.float64)
         certainty = np.zeros(self.grid_shape, dtype=np.int64)
-        for k, unit in enumerate(unit for row in self.units for unit in row):
-            result = unit.tm.compute(unit.history.reshape(-1), learn)
-            raw.flat[k], certainty.flat[k] = result.anomaly_score, result.predictive_column_count
+        for members, group, parts in self._memories:
+            columns = np.concatenate([rings[at] for rings, at in parts])
+            result = group.compute(columns.reshape(len(members), -1), learn)
+            raw.flat[members] = result.anomaly_scores
+            certainty.flat[members] = result.predictive_column_counts
         # A cell whose class window turns from empty to occupied has no
         # predictable first frame; its reported score is zeroed.
         entered = np.any(self.prev_empty & ~empty, axis=2)
@@ -275,17 +306,21 @@ class GridModel:
                        "snapshot prev_empty", SnapshotError)
             if [len(row) for row in state["units"]] != [gcols] * grows:
                 raise SnapshotError(f"snapshot units do not fill its {grows}x{gcols} grid")
-            poolers, tms, histories = zip(*(
-                _load_unit(config, (r, c), u)
+            cells = [config.cell_params((r, c)) for r in range(grows) for c in range(gcols)]
+            poolers, memories, histories = zip(*(
+                _load_unit(config, (r, c), cells[r * gcols + c], u)
                 for r, row in enumerate(state["units"]) for c, u in enumerate(row)))
         except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
                 ValueError) as exc:
             raise SnapshotError(f"snapshot payload is not a grid model: {exc!r}") from exc
+        sp_groups, tm_groups = _cell_groups(cells)
+        tm_groups = [(members, TemporalMemory.__new__(TemporalMemory)) for members in tm_groups]
+        for members, group in tm_groups:
+            group.assemble([cells[k][1] for k in members], [memories[k] for k in members])
         self.config = config
         self.grid_shape = (grows, gcols)
         self._place([(members, SpatialPooler.stack([poolers[k] for k in members]))
-                     for members in _pooler_groups([sp.params[0] for sp in poolers])],
-                    tms, histories)
+                     for members in sp_groups], tm_groups, histories)
         # An asarray view carries numpy's own bool dtype, which snapshot bytes share.
         self.prev_empty = np.asarray(prev_empty, dtype=bool)
         self.frame_counter = frame_counter

@@ -15,6 +15,8 @@ index, and all randomness comes from each cell's seed.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,6 +73,15 @@ class SpParams:
             out.append("sp permanence_decrement must be >= 0")
         if self.stimulus_threshold < 0:
             out.append("sp stimulus_threshold must be >= 0")
+        if self.boost_strength < 0.0:
+            out.append(f"sp boost_strength must be >= 0, got {self.boost_strength}")
+        elif (self.input_width > 0 and 0.0 < self.potential_fraction <= 1.0
+              and self.boost_strength > self.max_boost_strength):
+            out.append(
+                f"sp boost_strength must be at most {self.max_boost_strength} for a pool of "
+                f"{self.pool_size} bits, got {self.boost_strength}: a larger boost overflows "
+                "pool_size * exp(boost_strength)"
+            )
         if self.seed < 0:
             out.append("sp seed must be non-negative")
         return out + non_finite("sp", self)
@@ -84,6 +95,15 @@ class SpParams:
     def pool_size(self) -> int:
         """Input bits in each column's pool."""
         return max(1, int(round(self.potential_fraction * self.input_width)))
+
+    @property
+    def max_boost_strength(self) -> float:
+        """The largest boost, to two decimals, for which ``pool_size * exp(boost)`` is finite.
+
+        A column's ranking is at most its overlap, ``pool_size``, times
+        ``exp(boost_strength)``; below the limit it cannot overflow.
+        """
+        return math.floor(100 * math.log(sys.float_info.max / self.pool_size)) / 100
 
     def validate(self) -> None:
         problems = self.problems()

@@ -213,6 +213,16 @@ def test_non_finite_float_parameter_is_a_config_error(prefix, name, value):
         parse_run_config(MINIMAL_RUN, [f"cell.1.2.{key}={value}"])
 
 
+@pytest.mark.parametrize("strength, problem", [
+    ("800", r"sp boost_strength must be at most 70\d\.\d+ for a pool of \d+ bits, got 800"),
+    ("-1", "sp boost_strength must be >= 0, got -1"),
+], ids=["overflowing", "negative"])
+def test_boost_strength_is_bounded(strength, problem):
+    # exp(800) overflows, so every unused column would rank inf or NaN.
+    with pytest.raises(ConfigError, match=problem):
+        parse_run_config(MINIMAL_RUN, ["sp.boosting_enabled=true", f"sp.boost_strength={strength}"])
+
+
 def test_cell_override_explicit_seed_wins():
     run = parse_run_config(MINIMAL_RUN + "cell.0.0.sp.seed = 99\n")
     assert run.grid.per_cell_overrides[(0, 0)].sp.seed == 99

@@ -18,7 +18,7 @@ from htmgrid import (
     generate,
 )
 from htmgrid.config import parse_run_config
-from tests.conftest import loop_scenario, moving_average, results_equal
+from tests.conftest import loop_scenario, moving_average, results_equal, states_equal
 
 
 def blob_planes(frame=(36, 36), at=(14, 14), size=(6, 6)):
@@ -187,7 +187,7 @@ def test_single_frame_dropout_dilution(small_grid_config):
 
 
 def test_parallel_matches_sequential(small_grid_config, monkeypatch):
-    # workers > 1 starts no thread: every cell steps on the calling thread.
+    # workers > 1 starts no thread: every memory group steps on the calling thread.
     seen = []
     tm_compute = TemporalMemory.compute
 
@@ -203,7 +203,8 @@ def test_parallel_matches_sequential(small_grid_config, monkeypatch):
         assert results_equal(
             seq.step(planes, workers=1), par.step(planes, workers=4)
         )
-    assert len(seen) == 2 * 9 * len(frames)
+    assert len(seen) == 2 * len(seq._memories) * len(frames)
+    assert len(seq._memories) == 1
     assert all(
         thread is threading.current_thread() and count == before
         for thread, count in seen
@@ -239,6 +240,49 @@ def test_override_group_of_one_steps_as_a_standalone_cell(monkeypatch):
     assert np.array_equal(cell.history, other.history)
     assert np.array_equal(cell.sp.permanences, other.sp.permanences)
     assert cell.tm.segment_count == other.tm.segment_count > 0
+
+
+@pytest.mark.parametrize("override, sizes", [
+    ("cell.1.2.tm.cells_per_column = 4", [1, 8]),
+    # A pooler-only override splits the poolers, not the memories: the one
+    # memory group reads its rings from both pooler groups.
+    ("cell.1.2.sp.permanence_increment = 0.1", [9]),
+], ids=["tm", "sp"])
+def test_override_memory_steps_as_a_standalone_cell(monkeypatch, override, sizes):
+    group_sizes = []
+    tm_compute = TemporalMemory.compute
+
+    def recording_compute(tm, columns, learn):
+        group_sizes.append(len(columns))
+        return tm_compute(tm, columns, learn)
+
+    monkeypatch.setattr(TemporalMemory, "compute", recording_compute)
+    text = "input = stream\nencoder.frame_size = 36x36\ngrid.seed = 7\n"
+    run = parse_run_config(text + override + "\n")
+    model, plain = GridModel(run.grid), GridModel(parse_run_config(text).grid)
+    sp, tm = run.grid.cell_params((1, 2))
+    alone = GridModel(replace(
+        run.grid, encoder=replace(run.grid.encoder, frame_size=(12, 12)),
+        per_cell_overrides={(0, 0): CellOverride(sp=sp, tm=tm)}))
+    others = np.ones((3, 3), dtype=bool)
+    others[1, 2] = False
+    for t, planes in enumerate(generate(loop_scenario(80))):
+        result = model.step(planes, learn=t < 60)
+        assert sorted(group_sizes) == sizes
+        single = alone.step([plane[12:24, 24:36] for plane in planes], learn=t < 60)
+        expected = plain.step(planes, learn=t < 60)
+        group_sizes.clear()
+        assert result.raw_scores[1, 2] == single.raw_scores[0, 0]
+        assert result.certainty[1, 2] == single.certainty[0, 0]
+        # The other cells score as they do without the override.
+        assert np.array_equal(result.raw_scores[others], expected.raw_scores[others])
+        assert np.array_equal(result.certainty[others], expected.certainty[others])
+    cell, other = model.unit(1, 2), alone.unit(0, 0)
+    assert cell.tm.params == other.tm.params == tm
+    assert states_equal(cell.tm.state_dict(), other.tm.state_dict())
+    assert cell.tm.segment_count > 0
+    data = model.to_bytes()
+    assert GridModel.from_bytes(data).to_bytes() == data
 
 
 def test_snapshot_restore_replays_identically(warmed_loop_model):

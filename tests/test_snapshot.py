@@ -312,6 +312,16 @@ def test_non_finite_config_is_rejected_on_load():
         model.load_state_dict(state)
 
 
+def test_overflowing_boost_is_rejected_on_load():
+    model = GridModel(build_grid_config((24, 24), (12, 12)))
+    state = model.state_dict()
+    config = state["config"]
+    state["config"] = replace(config, default_sp=replace(
+        config.default_sp, boosting_enabled=True, boost_strength=800.0))
+    with pytest.raises(SnapshotError, match="sp boost_strength must be at most"):
+        model.load_state_dict(state)
+
+
 @pytest.mark.parametrize("failing", ["to_bytes", "replace"])
 def test_failed_save_keeps_the_existing_snapshot(tmp_path, monkeypatch, failing):
     model = GridModel(build_grid_config((24, 24), (12, 12)))

@@ -1,14 +1,28 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from htmgrid import ContractError, Sdr, TemporalMemory, TmParams
-from tests.conftest import dense, states_equal
+from tests.conftest import PerCellMemory, dense, states_equal
 
 
-def make_tm(width=36, seed=1, **kwargs):
-    return TemporalMemory(TmParams(column_count=width, seed=seed, **kwargs))
+def make_tm(width=36, seed=1, **kwargs) -> TemporalMemory:
+    """A group of one unit."""
+    return TemporalMemory([TmParams(column_count=width, seed=seed, **kwargs)])
+
+
+def step(tm: TemporalMemory, columns: np.ndarray, learn: bool) -> tuple:
+    """A group of one's (anomaly score, predictive columns, active columns) for a 1-D input."""
+    result = tm.compute(columns[None], learn)
+    return (float(result.anomaly_scores[0]), int(result.predictive_column_counts[0]),
+            int(result.active_column_counts[0]))
+
+
+def score(tm: TemporalMemory, columns: np.ndarray, learn: bool) -> float:
+    return step(tm, columns, learn)[0]
 
 
 A = dense(36, range(0, 12))
@@ -18,35 +32,43 @@ C = dense(36, range(24, 36))
 
 def test_first_step_is_fully_anomalous():
     tm = make_tm()
-    assert tm.compute(A, learn=True).anomaly_score == 1.0
+    assert score(tm, A, learn=True) == 1.0
 
 
 def test_empty_input_scores_zero():
     tm = make_tm()
-    assert tm.compute(dense(36), learn=True).anomaly_score == 0.0
-    tm.compute(A, learn=True)
-    assert tm.compute(dense(36), learn=True).anomaly_score == 0.0
+    assert score(tm, dense(36), learn=True) == 0.0
+    score(tm, A, learn=True)
+    assert score(tm, dense(36), learn=True) == 0.0
 
 
 @pytest.mark.parametrize("columns", [
-    np.zeros(35, dtype=bool),
-    np.ones(36, dtype=np.uint8),
-    np.zeros((1, 36), dtype=bool),
-    [False] * 36,
+    np.zeros((1, 35), dtype=bool),
+    np.ones((1, 36), dtype=np.uint8),
+    np.zeros(36, dtype=bool),
+    np.zeros((2, 36), dtype=bool),
+    [[False] * 36],
     Sdr(36, [0]),
-], ids=["wrong-length", "uint8-row", "2-d", "list", "sdr"])
+], ids=["wrong-length", "uint8-row", "1-d", "two-units", "list", "sdr"])
 def test_width_mismatch(columns):
     tm = make_tm()
-    with pytest.raises(ContractError, match=r"tm active columns must be bool of shape \(36,\)"):
+    with pytest.raises(ContractError, match=r"tm active columns must be bool of shape \(1, 36\)"):
         tm.compute(columns, learn=True)
-    assert tm.step_count == 0
+    assert tm.cells[0].step_count == 0
+
+
+def test_group_units_differ_only_in_seed():
+    with pytest.raises(ContractError, match="differ only in seed"):
+        TemporalMemory([TmParams(column_count=36), TmParams(column_count=36, cells_per_column=4)])
+    with pytest.raises(ContractError, match="differ only in seed"):
+        TemporalMemory([])
 
 
 def test_input_is_only_read():
-    # The grid hands the TM a view of its history ring, so compute must not write it.
+    # The grid hands the TM a view of its history rings, so compute must not write it.
     tm = make_tm()
     for pattern in (A, B, C) * 20:
-        view = pattern.view()
+        view = pattern[None]
         view.setflags(write=False)
         tm.compute(view, learn=True)
 
@@ -56,7 +78,7 @@ def test_cycle_converges_to_zero_anomaly():
     scores = []
     for _ in range(50):
         for pattern in (A, B, C):
-            scores.append(tm.compute(pattern, learn=True).anomaly_score)
+            scores.append(score(tm, pattern, learn=True))
     assert all(s == 0.0 for s in scores[-3:]), scores[-3:]
     assert all(s == 0.0 for s in scores[-30:])
     assert scores[0] == 1.0
@@ -64,33 +86,34 @@ def test_cycle_converges_to_zero_anomaly():
 
 def test_constant_input_converges_and_stays():
     tm = make_tm()
-    scores = [tm.compute(A, learn=True).anomaly_score for _ in range(200)]
+    scores = [score(tm, A, learn=True) for _ in range(200)]
     assert sum(scores[-150:]) == 0.0
 
 
 def test_anomaly_matches_unpredicted_fraction():
     tm = make_tm()
+    cell = tm.cells[0]
     rng = np.random.default_rng(2)
     for _ in range(200):
         active = np.sort(rng.choice(36, 12, replace=False))
         predicted_cols = (
-            np.unique(tm.predictive_cells // tm.params.cells_per_column)
-            if tm.predictive_cells.size
+            np.unique(cell.predictive_cells // cell.params.cells_per_column)
+            if cell.predictive_cells.size
             else np.empty(0, dtype=np.int64)
         )
         expected = np.setdiff1d(active, predicted_cols).size / active.size
-        result = tm.compute(dense(36, active), learn=True)
-        assert result.anomaly_score == expected
-        assert 0.0 <= result.anomaly_score <= 1.0
-        assert result.active_column_count == 12
+        anomaly, _, active_count = step(tm, dense(36, active), learn=True)
+        assert anomaly == expected
+        assert 0.0 <= anomaly <= 1.0
+        assert active_count == 12
 
 
 def test_determinism_bit_identical_state():
     rng = np.random.default_rng(5)
     inputs = [dense(36, np.sort(rng.choice(36, 12, replace=False))) for _ in range(150)]
     a, b = make_tm(), make_tm()
-    scores_a = [a.compute(x, learn=True).anomaly_score for x in inputs]
-    scores_b = [b.compute(x, learn=True).anomaly_score for x in inputs]
+    scores_a = [score(a, x, learn=True) for x in inputs]
+    scores_b = [score(b, x, learn=True) for x in inputs]
     assert scores_a == scores_b
     assert states_equal(a.state_dict(), b.state_dict())
 
@@ -101,19 +124,14 @@ def test_fast_learn_slow_forget():
     tm = make_tm(width=72)
     for _ in range(50):
         for p in (A2, B2, C2):
-            tm.compute(p, learn=True)
+            tm.compute(p[None], learn=True)
     rng = np.random.default_rng(9)
     for _ in range(1000):
         active = 36 + np.sort(rng.choice(36, 12, replace=False))
-        tm.compute(dense(72, active), learn=True)
-    replay = [
-        tm.compute(p, learn=False).anomaly_score for p in (A2, B2, C2, A2, B2, C2)
-    ]
+        tm.compute(dense(72, active)[None], learn=True)
+    replay = [score(tm, p, learn=False) for p in (A2, B2, C2, A2, B2, C2)]
     control = make_tm(width=72)
-    control_scores = [
-        control.compute(p, learn=False).anomaly_score
-        for p in (A2, B2, C2, A2, B2, C2)
-    ]
+    control_scores = [score(control, p, learn=False) for p in (A2, B2, C2, A2, B2, C2)]
     assert np.mean(replay) < 1.0
     assert np.mean(replay) < np.mean(control_scores)
 
@@ -124,21 +142,22 @@ def test_contextual_loop_characterization():
     # scores 0: the memory keeps re-entering the state it just left, so a
     # "frozen" input does not register as anomalous on those steps.
     tm = make_tm()
+    cell = tm.cells[0]
     for _ in range(50):
-        tm.compute(A, learn=True)
-        tm.compute(B, learn=True)
+        score(tm, A, learn=True)
+        score(tm, B, learn=True)
     predicted_zero_pairs = 0
     for _ in range(12):
-        if tm.predictive_cells.size:
+        if cell.predictive_cells.size:
             predicted_cols = np.unique(
-                tm.predictive_cells // tm.params.cells_per_column
+                cell.predictive_cells // cell.params.cells_per_column
             )
         else:
             predicted_cols = np.empty(0, dtype=np.int64)
         fully_predicted = bool(np.isin(np.flatnonzero(A), predicted_cols).all())
-        score = tm.compute(A, learn=True).anomaly_score
+        anomaly = score(tm, A, learn=True)
         if fully_predicted:
-            assert score == 0.0
+            assert anomaly == 0.0
             predicted_zero_pairs += 1
     assert predicted_zero_pairs > 0
 
@@ -150,12 +169,12 @@ def test_segment_and_synapse_caps_respected():
         max_synapses_per_segment=8,
         seed=1,
     )
-    tm = TemporalMemory(params)
+    tm = TemporalMemory([params])
     rng = np.random.default_rng(11)
     for _ in range(500):
         active = np.sort(rng.choice(36, 12, replace=False))
-        tm.compute(dense(36, active), learn=True)
-    segments = tm.state_dict()["segments"]
+        score(tm, dense(36, active), learn=True)
+    segments = tm.state_dict()[0]["segments"]
     assert segments
     assert np.bincount([seg["cell"] for seg in segments]).max() <= 4
     assert all(seg["presyn"].size <= 8 for seg in segments)
@@ -164,10 +183,9 @@ def test_segment_and_synapse_caps_respected():
 def test_predictive_column_count_reported():
     tm = make_tm()
     for _ in range(10):
-        tm.compute(A, learn=True)
-    result = tm.compute(A, learn=True)
-    assert result.predictive_column_count > 0
-    assert result.predictive_column_count <= 36
+        score(tm, A, learn=True)
+    _, predictive, _ = step(tm, A, learn=True)
+    assert 0 < predictive <= 36
 
 
 def test_snapshot_round_trip_continues_bit_identically():
@@ -175,12 +193,12 @@ def test_snapshot_round_trip_continues_bit_identically():
     rng = np.random.default_rng(13)
     inputs = [dense(36, np.sort(rng.choice(36, 12, replace=False))) for _ in range(120)]
     for x in inputs[:60]:
-        tm.compute(x, learn=True)
+        score(tm, x, learn=True)
     restored = TemporalMemory.__new__(TemporalMemory)
     restored.load_state_dict(tm.state_dict(), tm.params)
     assert states_equal(restored.state_dict(), tm.state_dict())
     for x in inputs[60:]:
-        assert restored.compute(x, learn=True) == tm.compute(x, learn=True)
+        assert step(restored, x, learn=True) == step(tm, x, learn=True)
     assert states_equal(restored.state_dict(), tm.state_dict())
 
 
@@ -189,13 +207,13 @@ def test_loaded_state_is_not_shared_with_its_source():
     rng = np.random.default_rng(17)
     inputs = [dense(36, np.sort(rng.choice(36, 12, replace=False))) for _ in range(80)]
     for x in inputs[:40]:
-        tm.compute(x, learn=True)
+        score(tm, x, learn=True)
     state = tm.state_dict()
     before = copy.deepcopy(state)
     restored = TemporalMemory.__new__(TemporalMemory)
     restored.load_state_dict(state, tm.params)
     for x in inputs[40:]:
-        restored.compute(x, learn=True)
+        score(restored, x, learn=True)
     assert states_equal(state, before)
 
 
@@ -207,22 +225,22 @@ def test_segment_store_invariants_hold_between_steps():
                  predicted_decrement=0.3)
     rng = np.random.default_rng(23)
     for _ in range(300):
-        tm.compute(dense(36, np.sort(rng.choice(36, 12, replace=False))), learn=True)
+        score(tm, dense(36, np.sort(rng.choice(36, 12, replace=False))), learn=True)
         n = tm.segment_count
         assert np.all(np.diff(tm.seg_ids[:n]) > 0)
-        assert np.all(tm.seg_cells[:n] >= 0)
+        assert np.all(tm.seg_cells[:n] >= 0) and np.all(tm.seg_units[:n] == 0)
         assert np.array_equal(
             tm.cell_segment_counts, np.bincount(tm.seg_cells[:n], minlength=72)
         )
         synapse = np.arange(6) < tm.seg_lens[:, None]
         assert np.all((tm.presyn >= 0) == synapse)
         assert np.all(tm.seg_lens[n:] == 0)
-    assert tm.next_segment_id > tm.segment_count
+    assert tm.next_segment_ids[0] > tm.segment_count
 
 
 def _update_one_synapse_at_a_time(tm, adapted, punished, prev_active):
     """Reference for the masked update: the permanence rule row by row."""
-    p = tm.params
+    p, step_count = tm.params[0], tm.step_counts[0]
     alive = []
     for row in [*adapted, *punished]:
         reinforce = row in adapted
@@ -230,7 +248,7 @@ def _update_one_synapse_at_a_time(tm, adapted, punished, prev_active):
         for j in range(tm.seg_lens[row]):
             cell, perm, when = tm.presyn[row, j], tm.perm[row, j], tm.last_reinforced[row, j]
             if cell in prev_active and reinforce:
-                perm, when = perm + p.permanence_increment, tm.step_count
+                perm, when = perm + p.permanence_increment, step_count
             elif cell in prev_active:
                 perm = perm - p.predicted_decrement
             elif reinforce:
@@ -242,11 +260,11 @@ def _update_one_synapse_at_a_time(tm, adapted, punished, prev_active):
             tm.presyn[row, j], tm.perm[row, j], tm.last_reinforced[row, j] = cell, perm, when
         tm.seg_lens[row] = len(kept)
         if reinforce:
-            tm.seg_last_used[row] = tm.step_count
+            tm.seg_last_used[row] = step_count
             alive.append(bool(kept))
         if not kept:
             tm.cell_segment_counts[tm.seg_cells[row]] -= 1
-            tm.seg_cells[row] = -1
+            tm.seg_units[row] = tm.seg_cells[row] = -1
     return alive
 
 
@@ -255,7 +273,7 @@ def test_masked_update_matches_the_per_row_rule():
                  permanence_decrement=0.1, predicted_decrement=1.0)
     rng = np.random.default_rng(29)
     for _ in range(150):
-        tm.compute(dense(36, np.sort(rng.choice(36, 12, replace=False))), learn=True)
+        score(tm, dense(36, np.sort(rng.choice(36, 12, replace=False))), learn=True)
     rows = rng.permutation(tm.segment_count)
     third = rows.size // 3
     adapted, punished = np.sort(rows[:third]), np.sort(rows[third : 2 * third])
@@ -278,3 +296,55 @@ def test_masked_update_matches_the_per_row_rule():
     assert np.any((tm.seg_lens < lens) & (tm.seg_lens > 0))
     assert np.all(tm.perm[adapted[0], : tm.seg_lens[adapted[0]]] == 1.0)
     assert np.any(tm.seg_cells[: tm.segment_count] < 0)
+
+
+@st.composite
+def memory_runs(draw):
+    """A group of 1-12 units with random seeds and small caps, and inputs for some steps.
+
+    Two cells per column, two segments per cell and 6-12 synapses per
+    segment make eviction, destruction, compaction and sampled growth
+    happen within a few steps.
+    """
+    columns = draw(st.integers(4, 24))
+    activation = draw(st.integers(1, 4))
+    base = TmParams(
+        column_count=columns,
+        cells_per_column=2,
+        max_segments_per_cell=2,
+        max_synapses_per_segment=draw(st.integers(6, 12)),
+        permanence_increment=draw(st.sampled_from([0.04, 0.1])),
+        permanence_decrement=draw(st.sampled_from([0.001, 0.1])),
+        predicted_decrement=draw(st.sampled_from([0.003, 0.3])),
+        activation_threshold=activation,
+        min_threshold=draw(st.integers(1, activation)),
+        new_synapse_count=draw(st.integers(1, 8)),
+    )
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12))
+    # Repeating patterns, so units learn, predict and mispredict, with rows
+    # zeroed or flipped now and then.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    patterns = rng.random((draw(st.integers(1, 4)), len(seeds), columns)) < density
+    steps = []
+    for t in range(draw(st.integers(1, 40))):
+        bits = patterns[t % len(patterns)].copy()
+        bits[rng.random(len(seeds)) < 0.15] = False
+        bits ^= rng.random(bits.shape) < draw(st.sampled_from([0.0, 0.05]))
+        steps.append((bits, bool(rng.random() < 0.8)))
+    return [replace(base, seed=s) for s in seeds], steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(memory_runs())
+def test_group_matches_per_cell_oracle(run):
+    params, steps = run
+    group = TemporalMemory(params)
+    oracles = [PerCellMemory(p) for p in params]
+    for bits, learn in steps:
+        result = group.compute(bits, learn)
+        want = [oracle.compute(row, learn) for oracle, row in zip(oracles, bits)]
+        assert result.anomaly_scores.tolist() == [score for score, _ in want]
+        assert result.predictive_column_counts.tolist() == [count for _, count in want]
+        for cell, oracle in zip(group.cells, oracles):
+            assert states_equal(cell.state_dict(), oracle.state_dict())
