@@ -210,23 +210,23 @@ class GridModel:
         """
         count = self.grid_shape[0] * self.grid_shape[1]
         poolers, memories, rings_at = [None] * count, [None] * count, [None] * count
-        self._groups = []
+        self._poolers = []
         for members, group in sp_groups:
             rings = np.zeros((len(members), self.config.multistep_n,
                               group.params[0].column_count), dtype=bool)
             for i, (k, cell) in enumerate(zip(members, group.cells)):
                 if histories:
                     rings[i] = histories[k]
-                poolers[k], rings_at[k] = cell, (len(self._groups), i)
-            self._groups.append((np.array(members), group, rings))
+                poolers[k], rings_at[k] = cell, (len(self._poolers), i)
+            self._poolers.append((np.array(members), group, rings))
         self._memories = []
         for members, group in tm_groups:
             runs = groupby((rings_at[k] for k in members), key=lambda at: at[0])
-            parts = [(self._groups[g][2], np.array([i for _, i in run])) for g, run in runs]
+            parts = [(self._poolers[g][2], np.array([i for _, i in run])) for g, run in runs]
             self._memories.append((np.array(members), group, parts))
             for k, cell in zip(members, group.cells):
                 memories[k] = cell
-        units = [CellUnit(poolers[k], memories[k], self._groups[g][2][i])
+        units = [CellUnit(poolers[k], memories[k], self._poolers[g][2][i])
                  for k, (g, i) in enumerate(rings_at)]
         gcols = self.grid_shape[1]
         self.units = [units[k : k + gcols] for k in range(0, count, gcols)]
@@ -242,7 +242,7 @@ class GridModel:
         """
         bits, empty = encode_frame(self.config.encoder, planes)
         bits = bits.reshape(-1, bits.shape[-1])
-        for members, group, rings in self._groups:
+        for members, group, rings in self._poolers:
             rings[:, :-1] = rings[:, 1:]
             rings[:, -1] = group.compute(bits[members], learn)
         raw = np.zeros(self.grid_shape, dtype=np.float64)

@@ -203,8 +203,8 @@ def test_parallel_matches_sequential(small_grid_config, monkeypatch):
         assert results_equal(
             seq.step(planes, workers=1), par.step(planes, workers=4)
         )
-    assert len(seen) == 2 * len(seq._memories) * len(frames)
-    assert len(seq._memories) == 1
+    # Each model is one memory group, stepped once per frame.
+    assert len(seen) == 2 * len(frames)
     assert all(
         thread is threading.current_thread() and count == before
         for thread, count in seen
