@@ -180,8 +180,16 @@ class TemporalMemory:
         # The units' step arrays as given, until the next step replaces them:
         # a snapshot that shared them pickles back to the same bytes.
         self._unit_steps = list(zip(active, winners))
-        self.cells = tuple(MemoryCell(self, i) for i in range(len(params)))
         self._update_activity()
+
+    @property
+    def cells(self) -> tuple:
+        """A ``MemoryCell`` per unit, made on each read.
+
+        The group keeps no reference to its views: the cycle would keep a
+        dropped model's store alive until the cyclic garbage collector ran.
+        """
+        return tuple(MemoryCell(self, i) for i in range(len(self.params)))
 
     # --- stepping ---------------------------------------------------------
 

@@ -1,4 +1,6 @@
 import copy
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -62,6 +64,21 @@ def test_group_units_differ_only_in_seed():
         TemporalMemory([TmParams(column_count=36), TmParams(column_count=36, cells_per_column=4)])
     with pytest.raises(ContractError, match="differ only in seed"):
         TemporalMemory([])
+
+
+def test_dropped_group_is_freed_at_once():
+    # Views refer to their group and the group keeps none of them, so no
+    # cycle holds a dropped model's store until the cyclic collector runs.
+    tm = make_tm()
+    cell = tm.cells[0]
+    score(tm, A, learn=True)
+    group = weakref.ref(tm)
+    gc.disable()
+    try:
+        del tm, cell
+        assert group() is None
+    finally:
+        gc.enable()
 
 
 def test_input_is_only_read():
