@@ -62,9 +62,8 @@ def cmd_snapshot_info(args) -> int:
     print(f"multistep_n: {config.multistep_n}")
     print(f"aggregation: {config.aggregation.value}")
     print(f"frames_processed: {model.frame_counter}")
-    units = [unit for row in model.units for unit in row]
-    print(f"sp_columns: {sorted({unit.sp.params.column_count for unit in units})}")
-    print(f"tm_segments_total: {sum(unit.tm.segment_count for unit in units)}")
+    print(f"sp_columns: {sorted({group.params[0].column_count for _, group, _ in model._poolers})}")
+    print(f"tm_segments_total: {sum(group.segment_count for _, group, _ in model._memories)}")
     return 0
 
 

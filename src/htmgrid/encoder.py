@@ -19,14 +19,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ContractError, Validated
 from .sdr import Sdr
 
 __all__ = ["EncoderConfig", "encode_frame", "empty_pattern", "active_pixel_stats"]
 
 
 @dataclass(frozen=True)
-class EncoderConfig:
+class EncoderConfig(Validated):
     frame_size: tuple[int, int]
     cell_size: tuple[int, int] = (12, 12)
     class_count: int = 1
@@ -61,11 +61,6 @@ class EncoderConfig:
         if self.seed < 0:
             out.append("encoder seed must be non-negative")
         return out
-
-    def validate(self) -> None:
-        problems = self.problems()
-        if problems:
-            raise ConfigError("; ".join(problems))
 
     @property
     def grid_shape(self) -> tuple[int, int]:

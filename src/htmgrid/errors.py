@@ -13,43 +13,66 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
 
 
+class Validated:
+    """A config whose ``problems()`` lists what is wrong with it; ``validate`` raises them."""
+
+    def validate(self) -> None:
+        problems = self.problems()
+        if problems:
+            raise ConfigError("; ".join(problems))
+
+
 class SnapshotError(RuntimeError):
-    """Snapshot data is corrupt, truncated, or from an unsupported version."""
+    """Snapshot data is corrupt, truncated, or from an unsupported version.
+
+    ``unit`` is the position in its group of the unit at fault, where one is.
+    """
+
+    def __init__(self, message: str, unit: int | None = None):
+        super().__init__(message)
+        self.unit = unit
 
 
-def check_bits(bits, shape: tuple, what: str, error: type = ContractError) -> None:
-    """Raise ``error`` unless ``bits`` is a bool array of ``shape``.
+def check_bits(bits, shape: tuple, what: str) -> None:
+    """Raise ``ContractError`` unless ``bits`` is a bool array of ``shape``.
 
     A 0/1 integer row is refused as well: ``&`` on it would be bitwise.
     """
     if not (isinstance(bits, np.ndarray) and bits.dtype == bool and bits.shape == shape):
         got = f"{getattr(bits, 'dtype', type(bits).__name__)} of shape {np.shape(bits)}"
-        raise error(f"{what} must be bool of shape {shape}, got {got}")
+        raise ContractError(f"{what} must be bool of shape {shape}, got {got}")
 
 
-def check_indices(values: np.ndarray, bound: int, what: str, increasing: bool = True) -> None:
-    """Raise ``SnapshotError`` unless ``values`` are integers in ``[0, bound)``.
+def loaded(value: np.ndarray, shape: tuple, dtype, what: str) -> np.ndarray:
+    """A new ``dtype`` copy of a snapshot array, or ``SnapshotError`` if it does not fit.
 
-    With ``increasing``, each row (the last axis) must also strictly increase,
-    so that its ends bound it.
+    Indices (int64) may come in any integer dtype; float64 and bool must come
+    as they are, so no value is rounded.  ``None`` in ``shape`` takes any length.
     """
-    ok = values.dtype.kind in "iu"
-    if ok and values.size:
-        if increasing:
-            ok = bool(np.all(values[..., 1:] > values[..., :-1]))
-            low, high = values[..., 0].min(), values[..., -1].max()
-        else:
-            low, high = values.min(), values.max()
-        ok = ok and low >= 0 and high < bound
-    if not ok:
-        order = "strictly increasing " if increasing else ""
-        raise SnapshotError(f"{what} must be {order}integers in [0, {bound})")
+    fits = value.dtype.kind in "iu" if dtype is np.int64 else value.dtype == dtype
+    if not (fits and len(value.shape) == len(shape)
+            and all(want in (None, got) for want, got in zip(shape, value.shape))):
+        kind = "integers" if dtype is np.int64 else np.dtype(dtype).name
+        want = tuple("n" if size is None else size for size in shape)
+        raise SnapshotError(f"{what} must be {kind} of shape {want}, "
+                            f"got {value.dtype} of shape {value.shape}")
+    return value.astype(dtype)
 
 
-def check_fractions(values: np.ndarray, what: str) -> None:
-    """Raise ``SnapshotError`` unless every value lies in ``[0, 1]``; NaN does not."""
-    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
-        raise SnapshotError(f"{what} must lie in [0, 1]")
+def check_units(bad: np.ndarray, what: str, owners: np.ndarray | None = None) -> None:
+    """Raise ``SnapshotError`` naming the unit of the first entry of ``bad`` that is set.
+
+    Entry ``i`` along the first axis is unit ``owners[i]``'s, or unit ``i``'s.
+    """
+    flags = bad.reshape(len(bad), -1).any(axis=1) if bad.ndim > 1 else bad
+    if flags.any():
+        first = int(np.argmax(flags))
+        raise SnapshotError(what, unit=first if owners is None else int(owners[first]))
+
+
+def outside_unit_interval(values: np.ndarray) -> np.ndarray:
+    """Where ``values`` lie outside ``[0, 1]``; NaN does too."""
+    return ~((values >= 0.0) & (values <= 1.0))
 
 
 def non_finite(prefix: str, params) -> list[str]:

@@ -17,23 +17,29 @@ can never change what counts as normal elsewhere.  Per frame:
 Cells share no state, so one cell's input never changes another cell's
 scores, even though their poolers and their sequence memories each step as
 one batch.
+
+A snapshot (version 3) holds each group's arrays as they are, as
+``sp<g>.<name>`` and ``tm<g>.<name>``.  ``__init__`` and a load build each
+group through the same constructor, a load with the snapshot's arrays.
 """
 
 from __future__ import annotations
 
+import json
 import os
-from collections import deque
-from dataclasses import dataclass, field, replace
+from collections import deque, namedtuple
+from dataclasses import dataclass, field, is_dataclass, replace
 from itertools import groupby
+from typing import get_type_hints
 
 import numpy as np
 
 from .aggregation import AggregationKind, aggregate
 from .encoder import EncoderConfig, encode_frame
-from .errors import ConfigError, SnapshotError, check_bits
+from .errors import SnapshotError, Validated, loaded
 from .sdr import concatenate  # unused here; perfbench's traced spans rebind it
-from .spatial_pooler import PoolerCell, SpParams, SpatialPooler
-from .temporal_memory import MemoryCell, TmParams, TemporalMemory, checked_state
+from .spatial_pooler import SpParams, SpatialPooler
+from .temporal_memory import TmParams, TemporalMemory
 from . import snapshot
 
 __all__ = [
@@ -46,7 +52,7 @@ __all__ = [
 ]
 
 SNAPSHOT_KIND = "grid-model"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,7 @@ class CellOverride:
 
 
 @dataclass(frozen=True)
-class GridConfig:
+class GridConfig(Validated):
     encoder: EncoderConfig
     default_sp: SpParams
     default_tm: TmParams
@@ -77,7 +83,8 @@ class GridConfig:
             out.append(f"smoothing_window must be >= 1, got {self.smoothing_window}")
         if self.seed < 0:
             out.append(f"grid seed must be non-negative, got {self.seed}")
-        grows, gcols = self.encoder.grid_shape
+        # A cell size of zero has no grid; the encoder's problems report it.
+        grows, gcols = self.encoder.grid_shape if min(self.encoder.cell_size) > 0 else (0, 0)
         pairs = {(self.default_sp, self.default_tm): "default"}
         for coord in self.per_cell_overrides:
             r, c = coord
@@ -108,10 +115,6 @@ class GridConfig:
         return (override.sp or replace(self.default_sp, seed=sp_seed),
                 override.tm or replace(self.default_tm, seed=tm_seed))
 
-    def validate(self) -> None:
-        problems = self.problems()
-        if problems:
-            raise ConfigError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -130,32 +133,50 @@ class FrameResult:
     aggregate_smoothed: float
 
 
-class CellUnit:
-    """One cell's view of the model: its pooler cell, memory cell and history ring."""
-
-    __slots__ = ("sp", "tm", "history")
-
-    def __init__(self, sp: PoolerCell, tm: MemoryCell, history: np.ndarray):
-        self.sp = sp
-        self.tm = tm
-        self.history = history
+# One cell's view of the model: its pooler cell, memory cell and history ring.
+CellUnit = namedtuple("CellUnit", "sp tm history")
 
 
-def _load_unit(config: GridConfig, coord: tuple[int, int], params: tuple, state: dict) -> tuple:
-    """Cell ``coord``'s pooler (a group of one), checked memory state and history ring.
+def _plain(value, hint):
+    """``value``, a ``GridConfig`` or a part of type ``hint``, as JSON values."""
+    if is_dataclass(hint):
+        return {name: _plain(getattr(value, name), part)
+                for name, part in get_type_hints(hint).items()}
+    if hint is dict:  # per-cell overrides, as [row, col, sp, tm] in coordinate order
+        return [[*map(int, coord), *(None if part is None else _plain(part, type(part))
+                                     for part in (o.sp, o.tm))]
+                for coord, o in sorted(value.items())]
+    if hint is AggregationKind:
+        return value.value
+    return hint(value) if hint in (bool, int, float) else [*map(int, value)]  # or a pair
 
-    ``params`` are the cell's ``(SpParams, TmParams)``.
+
+def _built(data, hint):
+    """The ``hint`` value that ``_plain`` would turn into ``data``, its types unchecked."""
+    if is_dataclass(hint):
+        return hint(**{name: _built(value, get_type_hints(hint)[name])
+                       for name, value in data.items()})
+    if hint is dict:
+        return {(r, c): CellOverride(*(None if part is None else _built(part, cls)
+                                       for part, cls in ((sp, SpParams), (tm, TmParams))))
+                for r, c, sp, tm in data}
+    if hint is AggregationKind:
+        return AggregationKind(data)
+    return data if hint in (bool, int, float) else tuple(data)
+
+
+def _for_cells(coords: list, make, *args):
+    """``make(*args)``; a ``SnapshotError`` is raised again naming the cell at fault, else all.
+
+    A group's cells are named by the first three of ``coords`` and a count of the rest.
     """
-    sp_params, tm_params = params
-    sp = SpatialPooler.__new__(SpatialPooler)
     try:
-        sp.load_state_dict([state["sp"]], [sp_params])
-        tm = checked_state(state["tm"], tm_params)
-        check_bits(state["history"], (config.multistep_n, sp_params.column_count),
-                   "history ring", SnapshotError)
+        return make(*args)
     except SnapshotError as exc:
-        raise SnapshotError(f"snapshot unit {coord}: {exc}") from exc
-    return sp, tm, state["history"]
+        at = coords if exc.unit is None else coords[exc.unit : exc.unit + 1]
+        more = f" and {len(at) - 3} more" if len(at) > 3 else ""
+        cells = f"cell{'s' * (len(at) > 1)} {', '.join(map(str, at[:3]))}{more}"
+        raise SnapshotError(f"snapshot {cells}: {exc}") from exc
 
 
 def _groups(keys: list) -> list[list[int]]:
@@ -187,49 +208,73 @@ class GridModel:
 
     def __init__(self, config: GridConfig):
         config.validate()
-        self.config = config
-        grows, gcols = config.encoder.grid_shape
-        self.grid_shape = (grows, gcols)
-        cells = [config.cell_params((r, c)) for r in range(grows) for c in range(gcols)]
-        sp_groups, tm_groups = _cell_groups(cells)
-        self._place([(members, SpatialPooler([cells[k][0] for k in members]))
-                     for members in sp_groups],
-                    [(members, TemporalMemory([cells[k][1] for k in members]))
-                     for members in tm_groups])
-        # Which class windows of each cell held the empty pattern last frame.
-        self.prev_empty = np.zeros((grows, gcols, config.encoder.class_count), dtype=bool)
-        self.frame_counter = 0
-        self._agg_history: deque[float] = deque(maxlen=config.smoothing_window)
+        self._build(config)
 
-    def _place(self, sp_groups, tm_groups, histories=None) -> None:
-        """Give each row-major cell its unit from the ``(members, group)`` pairs of each layer.
+    def _build(self, config: GridConfig, arrays: dict | None = None, frame_counter: int = 0,
+               rng_states=None) -> None:
+        """Make the model of ``config``, fresh or from a snapshot's checked header and ``arrays``.
 
-        Each pooler group gets one history ring per cell, empty unless
-        ``histories`` fills it.  Each memory group reads its cells' rings in
-        runs, one per pooler group, as ``(rings, positions)`` parts.
+        Each pooler group keeps one history ring per cell.  Each memory group
+        reads its cells' rings in runs, one per pooler group, as ``(rings,
+        positions)`` parts.  Nothing is assigned until every group is built.
         """
-        count = self.grid_shape[0] * self.grid_shape[1]
-        poolers, memories, rings_at = [None] * count, [None] * count, [None] * count
-        self._poolers = []
-        for members, group in sp_groups:
-            rings = np.zeros((len(members), self.config.multistep_n,
-                              group.params[0].column_count), dtype=bool)
-            for i, (k, cell) in enumerate(zip(members, group.cells)):
-                if histories:
-                    rings[i] = histories[k]
-                poolers[k], rings_at[k] = cell, (len(self._poolers), i)
-            self._poolers.append((np.array(members), group, rings))
-        self._memories = []
-        for members, group in tm_groups:
+        grows, gcols = config.encoder.grid_shape
+        # Which class windows of each cell held the empty pattern last frame.
+        prev_empty, agg_history = np.zeros((grows, gcols, config.encoder.class_count), bool), []
+        if arrays is not None:
+            if not {"prev_empty", "agg_history"} <= arrays.keys():
+                raise SnapshotError("snapshot lacks the prev_empty or agg_history array")
+            # The flags bound the grid by the file's size before a loop over its cells.
+            prev_empty = loaded(arrays["prev_empty"], prev_empty.shape, bool, "snapshot prev_empty")
+            agg_history = loaded(arrays["agg_history"], (None,), np.float64,
+                                 "snapshot agg_history").tolist()
+        coords = [(r, c) for r in range(grows) for c in range(gcols)]
+        cells = [config.cell_params(coord) for coord in coords]
+        sp_groups, tm_groups = _cell_groups(cells)
+        if arrays is not None:
+            expected = {"prev_empty", "agg_history",
+                        *(f"sp{g}.{name}" for g in range(len(sp_groups))
+                          for name in (*SpatialPooler.ARRAYS, "history")),
+                        *(f"tm{g}.{name}" for g in range(len(tm_groups))
+                          for name in TemporalMemory.ARRAYS)}
+            if arrays.keys() != expected:
+                raise SnapshotError(f"snapshot arrays {sorted(arrays.keys() ^ expected)} are "
+                                    "missing or unknown to its config")
+            if not (isinstance(rng_states, list) and len(rng_states) == len(tm_groups)):
+                raise SnapshotError("snapshot rng_states must hold a list per memory group")
+        poolers, rings_at = [], [None] * len(cells)
+        for g, members in enumerate(sp_groups):
+            where, params = [coords[k] for k in members], [cells[k][0] for k in members]
+            shape = (len(members), config.multistep_n, params[0].column_count)
+            state = None if arrays is None else {
+                name: arrays[f"sp{g}.{name}"] for name in (*SpatialPooler.ARRAYS, "history")}
+            group = _for_cells(where, SpatialPooler, params, state)
+            rings = np.zeros(shape, dtype=bool) if state is None else _for_cells(
+                where, loaded, state["history"], shape, bool, "history ring")
+            for i, k in enumerate(members):
+                rings_at[k] = (g, i)
+            poolers.append((np.array(members), group, rings))
+        memories = []
+        for g, members in enumerate(tm_groups):
+            where, params = [coords[k] for k in members], [cells[k][1] for k in members]
+            state = None if arrays is None else {
+                **{name: arrays[f"tm{g}.{name}"] for name in TemporalMemory.ARRAYS},
+                "rng_states": rng_states[g]}
+            group = _for_cells(where, TemporalMemory, params, state)
             runs = groupby((rings_at[k] for k in members), key=lambda at: at[0])
-            parts = [(self._poolers[g][2], np.array([i for _, i in run])) for g, run in runs]
-            self._memories.append((np.array(members), group, parts))
-            for k, cell in zip(members, group.cells):
-                memories[k] = cell
-        units = [CellUnit(poolers[k], memories[k], self._poolers[g][2][i])
+            parts = [(poolers[p][2], np.array([i for _, i in run])) for p, run in runs]
+            memories.append((np.array(members), group, parts))
+        self.config, self.grid_shape = config, (grows, gcols)
+        self._poolers, self._memories = poolers, memories
+        sp_cells, tm_cells = ({k: cell for members, group, _ in layer
+                               for k, cell in zip(members.tolist(), group.cells)}
+                              for layer in (poolers, memories))
+        units = [CellUnit(sp_cells[k], tm_cells[k], poolers[g][2][i])
                  for k, (g, i) in enumerate(rings_at)]
-        gcols = self.grid_shape[1]
-        self.units = [units[k : k + gcols] for k in range(0, count, gcols)]
+        self.units = [units[k : k + gcols] for k in range(0, len(cells), gcols)]
+        self.prev_empty = prev_empty
+        self.frame_counter = frame_counter
+        self._agg_history = deque(agg_history, maxlen=config.smoothing_window)
 
     def unit(self, r: int, c: int) -> CellUnit:
         return self.units[r][c]
@@ -274,66 +319,47 @@ class GridModel:
 
     # --- serialization ----------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """What a snapshot holds; unit parameters follow from the config."""
-        return {
-            "config": self.config,
-            "frame_counter": self.frame_counter,
-            "agg_history": list(self._agg_history),
-            "prev_empty": self.prev_empty,
-            "units": [
-                [{"sp": unit.sp.state_dict(), "tm": unit.tm.state_dict(),
-                  "history": unit.history} for unit in row]
-                for row in self.units
-            ],
-        }
+    def state_dict(self) -> tuple[dict, dict]:
+        """A snapshot's header (the config, frame counter and generator states) and arrays."""
+        header = {"config": _plain(self.config, GridConfig), "frame_counter": self.frame_counter,
+                  "rng_states": []}
+        arrays = {"prev_empty": self.prev_empty,
+                  "agg_history": np.array(self._agg_history, dtype=np.float64)}
+        for g, (_, group, rings) in enumerate(self._poolers):
+            arrays.update({f"sp{g}.{name}": value for name, value in group.state_dict().items()})
+            arrays[f"sp{g}.history"] = rings
+        for g, (_, group, _) in enumerate(self._memories):
+            state = group.state_dict()
+            header["rng_states"].append(state.pop("rng_states"))
+            arrays.update({f"tm{g}.{name}": value for name, value in state.items()})
+        return header, arrays
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore from ``state``; any payload that does not fit raises ``SnapshotError``.
+    def load_state_dict(self, header: dict, arrays: dict) -> None:
+        """Restore from a snapshot's ``header`` and ``arrays``; a misfit raises ``SnapshotError``.
 
-        The model is left unchanged unless every unit loads.
+        The model is left unchanged unless every group loads.
         """
         try:
-            config: GridConfig = state["config"]
-            problems = config.problems()
-            if problems:
-                raise SnapshotError(f"snapshot config is invalid: {'; '.join(problems)}")
-            grows, gcols = config.encoder.grid_shape
-            frame_counter = int(state["frame_counter"])
-            agg_history = [float(v) for v in state["agg_history"]]
-            prev_empty = state["prev_empty"]
-            check_bits(prev_empty, (grows, gcols, config.encoder.class_count),
-                       "snapshot prev_empty", SnapshotError)
-            if [len(row) for row in state["units"]] != [gcols] * grows:
-                raise SnapshotError(f"snapshot units do not fill its {grows}x{gcols} grid")
-            cells = [config.cell_params((r, c)) for r in range(grows) for c in range(gcols)]
-            poolers, memories, histories = zip(*(
-                _load_unit(config, (r, c), cells[r * gcols + c], u)
-                for r, row in enumerate(state["units"]) for c, u in enumerate(row)))
-        except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
-                ValueError) as exc:
-            raise SnapshotError(f"snapshot payload is not a grid model: {exc!r}") from exc
-        sp_groups, tm_groups = _cell_groups(cells)
-        tm_groups = [(members, TemporalMemory.__new__(TemporalMemory)) for members in tm_groups]
-        for members, group in tm_groups:
-            group.assemble([cells[k][1] for k in members], [memories[k] for k in members])
-        self.config = config
-        self.grid_shape = (grows, gcols)
-        self._place([(members, SpatialPooler.stack([poolers[k] for k in members]))
-                     for members in sp_groups], tm_groups, histories)
-        # An asarray view carries numpy's own bool dtype, which snapshot bytes share.
-        self.prev_empty = np.asarray(prev_empty, dtype=bool)
-        self.frame_counter = frame_counter
-        self._agg_history = deque(agg_history, maxlen=config.smoothing_window)
+            config, frame_counter = _built(header["config"], GridConfig), header["frame_counter"]
+            # Only the exact JSON that a save writes fits: every key, type and order.
+            fits = (json.dumps(_plain(config, GridConfig), sort_keys=True)
+                    == json.dumps(header["config"], sort_keys=True))
+            problems, rng_states = config.problems(), header["rng_states"]
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise SnapshotError(f"snapshot header is not a grid model: {exc!r:.200}") from exc
+        if not fits or type(frame_counter) is not int:
+            raise SnapshotError("snapshot config or frame_counter has a value of the wrong type")
+        if problems:
+            raise SnapshotError(f"snapshot config is invalid: {'; '.join(problems)}")
+        self._build(config, arrays, frame_counter, rng_states)
 
     def to_bytes(self) -> bytes:
-        return snapshot.pack(SNAPSHOT_KIND, SNAPSHOT_VERSION, self.state_dict())
+        return snapshot.pack(SNAPSHOT_KIND, SNAPSHOT_VERSION, *self.state_dict())
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "GridModel":
-        state = snapshot.unpack(data, SNAPSHOT_KIND, SNAPSHOT_VERSION)
         model = cls.__new__(cls)
-        model.load_state_dict(state)
+        model.load_state_dict(*snapshot.unpack(data, SNAPSHOT_KIND, SNAPSHOT_VERSION))
         return model
 
     def save(self, path) -> None:

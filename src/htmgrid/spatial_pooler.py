@@ -5,12 +5,13 @@ permanence-weighted synapses and global k-winner inhibition, as in Cui,
 Ahmad & Hawkins 2017, "The HTM Spatial Pooler".  A pooler has no topology or
 local inhibition, so the cells of a grid whose parameters differ only in
 ``seed`` are one group, and one ``compute`` call steps them all; cells still
-share no state.  Each cell keeps its own ``pools`` and ``permanences``.  The
-group derives one more array from them: each cell's connected synapses
-packed as bits over its input, so an overlap is a popcount of that mask and
-the packed input.  Learning rewrites the mask rows of the columns it changes.
-Winner selection is fully deterministic: ties are broken by ascending column
-index, and all randomness comes from each cell's seed.
+share no state.  Cell ``i`` owns row ``i`` of the group's ``pools`` and
+``permanences``, which a snapshot stores as they are.  The group derives one
+more array from them: each cell's connected synapses packed as bits over its
+input, so an overlap is a popcount of that mask and the packed input.
+Learning rewrites the mask rows of the columns it changes.  Winner selection
+is fully deterministic: ties are broken by ascending column index, and all
+randomness comes from each cell's seed.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, ContractError, SnapshotError, check_bits, check_fractions,
-                     check_indices, non_finite)
+from .errors import (ContractError, Validated, check_bits, check_units, loaded, non_finite,
+                     outside_unit_interval)
 
 __all__ = ["SpParams", "SpatialPooler", "PoolerCell"]
 
@@ -33,7 +34,7 @@ _POPCOUNT = np.array([bin(value).count("1") for value in range(256)], dtype=np.u
 
 
 @dataclass(frozen=True)
-class SpParams:
+class SpParams(Validated):
     input_width: int
     column_count: int
     active_columns: int
@@ -105,65 +106,59 @@ class SpParams:
         """
         return math.floor(100 * math.log(sys.float_info.max / self.pool_size)) / 100
 
-    def validate(self) -> None:
-        problems = self.problems()
-        if problems:
-            raise ConfigError("; ".join(problems))
 
 
 class SpatialPooler:
     """The poolers of cells whose ``SpParams`` differ only in ``seed``, stepped as one.
 
-    Cell ``i`` has ``params[i]``, ``pools[i]`` and ``permanences[i]``, row ``i``
-    of ``duty_cycles`` and ``step_counts``, and ``cells[i]``, a view of all of
+    Cell ``i`` has ``params[i]``, row ``i`` of ``pools``, ``permanences``,
+    ``duty_cycles`` and ``step_counts``, and ``cells[i]``, a view of all of
     them.  A single writer; distinct groups may run in parallel.
     """
 
-    def __init__(self, params: Sequence[SpParams]):
-        pools, permanences = [], []
-        for p in params:
-            p.validate()
-            rng = np.random.default_rng(p.seed)
-            # One random subset of input bits per column, drawn without replacement.
-            order = np.argsort(rng.random((p.column_count, p.input_width)), axis=1)
-            pools.append(np.sort(order[:, : p.pool_size], axis=1).astype(np.int64))
-            band = 0.1
-            low, high = p.connected_threshold - band, p.connected_threshold + band
-            permanences.append(np.clip(rng.uniform(low, high, size=pools[-1].shape), 0.0, 1.0))
-        self._assemble(params, pools, permanences)
+    # The arrays a snapshot holds, as ``state_dict`` gives them.
+    ARRAYS = ("pools", "permanences", "duty_cycles", "step_counts")
 
-    def _assemble(self, params, pools, permanences, step_counts=None, duty_cycles=None,
-                  connected=None) -> None:
-        """Take over the cells' arrays; fresh counters and the mask are made when not given."""
+    def __init__(self, params: Sequence[SpParams], state: dict | None = None):
+        """A fresh group, or one restored from checked copies of ``state``, a group's ``ARRAYS``.
+
+        ``SnapshotError`` names the unit whose entries do not fit, if one does.
+        """
         if not params or len({p.group_key for p in params}) != 1:
             raise ContractError("a pooler group needs cells whose parameters differ only in seed")
+        for p in params:
+            p.validate()
         p = params[0]
         self.params = tuple(params)
-        self.pools, self.permanences = list(pools), list(permanences)
-        self.step_counts = (np.zeros(len(params), dtype=np.int64)
-                            if step_counts is None else step_counts)
-        self.duty_cycles = (np.zeros((len(params), p.column_count), dtype=np.float64)
-                            if duty_cycles is None else duty_cycles)
-        if connected is None:
-            connected = np.stack([_packed_rows(pool, perm >= p.connected_threshold, p.input_width)
-                                  for pool, perm in zip(pools, permanences)])
-        self.connected = connected
+        shape = (len(params), p.column_count, p.pool_size)
+        if state is None:
+            self.pools = np.empty(shape, dtype=np.int64)
+            self.permanences = np.empty(shape, dtype=np.float64)
+            for i, cell in enumerate(params):
+                rng = np.random.default_rng(cell.seed)
+                # One random subset of input bits per column, drawn without replacement.
+                order = np.argsort(rng.random((p.column_count, p.input_width)), axis=1)
+                self.pools[i] = np.sort(order[:, : p.pool_size], axis=1)
+                low, high = p.connected_threshold - 0.1, p.connected_threshold + 0.1
+                self.permanences[i] = np.clip(rng.uniform(low, high, size=shape[1:]), 0.0, 1.0)
+            self.duty_cycles = np.zeros(shape[:2], dtype=np.float64)
+            self.step_counts = np.zeros(len(params), dtype=np.int64)
+        else:
+            for name, dtype, size in (("pools", np.int64, 3), ("permanences", np.float64, 3),
+                                      ("duty_cycles", np.float64, 2), ("step_counts", np.int64, 1)):
+                setattr(self, name, loaded(state[name], shape[:size], dtype,
+                                           f"sp {name.replace('_', ' ')}"))
+            pools, width = self.pools, p.input_width
+            ordered = np.all(pools[..., 1:] > pools[..., :-1], axis=2)
+            check_units(~ordered | (pools[..., 0] < 0) | (pools[..., -1] >= width),
+                        f"sp pool rows must be strictly increasing integers in [0, {width})")
+            for name in ("permanences", "duty_cycles"):
+                check_units(outside_unit_interval(getattr(self, name)),
+                            f"sp {name.replace('_', ' ')} must lie in [0, 1]")
+            check_units(self.step_counts < 0, "sp step count must be non-negative")
+        self.connected = np.stack([_packed_rows(pools, perm >= p.connected_threshold, p.input_width)
+                                   for pools, perm in zip(self.pools, self.permanences)])
         self.cells = tuple(PoolerCell(self, i) for i in range(len(params)))
-
-    @classmethod
-    def stack(cls, groups: Sequence["SpatialPooler"]) -> "SpatialPooler":
-        """One group of the cells of ``groups``, in order.
-
-        It takes over their pools and permanences, so ``groups`` must not step again.
-        """
-        group = cls.__new__(cls)
-        group._assemble([p for g in groups for p in g.params],
-                        [a for g in groups for a in g.pools],
-                        [a for g in groups for a in g.permanences],
-                        np.concatenate([g.step_counts for g in groups]),
-                        np.concatenate([g.duty_cycles for g in groups]),
-                        np.concatenate([g.connected for g in groups]))
-        return group
 
     def compute(self, bits: np.ndarray, learn: bool) -> np.ndarray:
         """Pool a bool array of ``(cells, input_width)``; others raise ``ContractError``.
@@ -207,21 +202,9 @@ class SpatialPooler:
 
     # --- serialization ---------------------------------------------------
 
-    def state_dict(self) -> list[dict]:
-        """Each cell's learned state; the parameters are the caller's to keep."""
-        return [cell.state_dict() for cell in self.cells]
-
-    def load_state_dict(self, states: Sequence[dict], params: Sequence[SpParams]) -> None:
-        """Restore cell ``i`` from ``states[i]`` under ``params[i]``.
-
-        Raises ``SnapshotError``, before anything is assigned, if an array
-        does not fit its parameters, a learned value lies outside [0, 1], or a
-        step count is negative.
-        """
-        loaded = [_checked_state(state, p) for state, p in zip(states, params, strict=True)]
-        pools, permanences, step_counts, duty_cycles = zip(*loaded)
-        self._assemble(params, pools, permanences, np.array(step_counts, dtype=np.int64),
-                       np.array(duty_cycles, dtype=np.float64))
+    def state_dict(self) -> dict:
+        """The group's ``ARRAYS``, which learning mutates; the parameters are the caller's."""
+        return {name: getattr(self, name) for name in self.ARRAYS}
 
 
 class PoolerCell:
@@ -256,22 +239,3 @@ def _packed_rows(pools: np.ndarray, connected: np.ndarray, width: int) -> np.nda
     dense.ravel()[(pools + offsets).ravel()] = connected.ravel()
     return np.packbits(dense, axis=1)
 
-
-def _checked_state(state: dict, params: SpParams) -> tuple:
-    """(pools, permanences, step count, duty cycles) of one cell's ``state``, checked."""
-    pools, step_count = np.asarray(state["pools"]), int(state["step_count"])
-    shape = (params.column_count, params.pool_size)
-    if pools.shape != shape:
-        raise SnapshotError(f"sp pools must have shape {shape}, got {pools.shape}")
-    check_indices(pools, params.input_width, "sp pool rows")
-    permanences = np.asarray(state["permanences"], dtype=np.float64)
-    duty_cycles = np.asarray(state["duty_cycles"], dtype=np.float64)
-    if permanences.shape != shape or duty_cycles.shape != shape[:1]:
-        raise SnapshotError("sp permanences and duty cycles must match the pools")
-    if step_count < 0:
-        raise SnapshotError("sp step count must be non-negative")
-    check_fractions(permanences, "sp permanences")
-    check_fractions(duty_cycles, "sp duty cycles")
-    # Copy what learning mutates; pools never change.  Copies of asarray
-    # views keep numpy's own dtype objects, which snapshot bytes share.
-    return np.asarray(pools, dtype=np.int64), permanences.copy(), step_count, duty_cycles

@@ -48,23 +48,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, ContractError, SnapshotError, check_bits, check_fractions,
-                     check_indices, non_finite)
+from .errors import (ContractError, SnapshotError, Validated, check_bits, check_units, loaded,
+                     non_finite, outside_unit_interval)
 
 __all__ = ["TmParams", "TmStepResult", "TemporalMemory", "MemoryCell"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-# Per-row arrays of the segment store and the padded ones among them.
-_STORE = ("presyn", "perm", "last_reinforced", "seg_units", "seg_ids", "seg_cells",
-          "seg_lens", "seg_last_used", "seg_potential")
-_SYNAPSES = _STORE[:3]
-# The step state a unit carries between steps.
+# Per-row arrays of the segment store: the padded ones, then those a snapshot
+# holds per row, then the derived potential counts.
+_SYNAPSES = ("presyn", "perm", "last_reinforced")
+_ROWS = ("seg_units", "seg_ids", "seg_cells", "seg_lens", "seg_last_used")
+_STORE = (*_SYNAPSES, *_ROWS, "seg_potential")
+# Per-unit counters, and the step state a unit carries between steps.
+_UNITS = ("next_segment_ids", "step_counts")
 _STEP = ("active_cells", "winner_cells")
 
 
 @dataclass(frozen=True)
-class TmParams:
+class TmParams(Validated):
     column_count: int
     cells_per_column: int = 8
     max_segments_per_cell: int = 32
@@ -119,10 +121,6 @@ class TmParams:
         """Every parameter but the seed: units equal in it step as one group."""
         return tuple(value for name, value in vars(self).items() if name != "seed")
 
-    def validate(self) -> None:
-        problems = self.problems()
-        if problems:
-            raise ConfigError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -142,45 +140,85 @@ class TemporalMemory:
     of all of it.  A single writer; distinct groups may run in parallel.
     """
 
-    def __init__(self, params: Sequence[TmParams]):
-        for p in params:
-            p.validate()
-        self.assemble(params, [_fresh_state(p) for p in params])
+    # The arrays a snapshot holds: the live store rows, their synapses in row
+    # order, and the unit arrays.  ``state_dict`` adds the units' ``rng_states``.
+    ARRAYS = (*_ROWS, *_SYNAPSES, *_UNITS, *_STEP)
 
-    def assemble(self, params: Sequence[TmParams], units: Sequence[tuple]) -> None:
-        """Build the group from unit ``i``'s state ``units[i]``, checked by ``checked_state``."""
+    def __init__(self, params: Sequence[TmParams], state: dict | None = None):
+        """A fresh group, or one restored from checked copies of ``state_dict``'s ``state``.
+
+        ``SnapshotError`` names the unit whose state does not fit, if one does.
+        """
         if not params or len({p.group_key for p in params}) != 1:
             raise ContractError("a memory group needs units whose parameters differ only in seed")
+        for p in params:
+            p.validate()
         p = params[0]
         self.params = tuple(params)
         self.total_cells = p.column_count * p.cells_per_column
-        (ids, cells, last_used, lens, presyn, perm, reinforced, next_ids, steps, rngs,
-         active, winners) = zip(*units)
-        offsets = np.arange(len(params)) * self.total_cells
-        owner = np.repeat(np.arange(len(params)), [len(a) for a in ids])
-        n = owner.size
-        self._new_store(n)
-        self.segment_count = n
-        self.seg_units[:] = owner
-        self.seg_ids[:], self.seg_last_used[:] = np.concatenate(ids), np.concatenate(last_used)
-        self.seg_cells[:] = np.concatenate(cells) + offsets[owner]
-        self.seg_lens[:] = np.concatenate(lens)
-        # One vectorised pass per array: row r fills its first seg_lens[r] slots.
-        filled = np.arange(p.max_synapses_per_segment) < self.seg_lens[:, None]
-        self.presyn[filled] = np.concatenate(presyn) + np.repeat(offsets[owner], self.seg_lens)
-        self.perm[filled] = np.concatenate(perm)
-        self.last_reinforced[filled] = np.concatenate(reinforced)
+        self.rngs = [np.random.default_rng(unit.seed) for unit in params]
+        if state is None:  # no segments, so nothing is active or predicted
+            state = {**dict.fromkeys(self.ARRAYS, _EMPTY),
+                     **{name: np.zeros(len(params), dtype=np.int64) for name in _UNITS}}
+        else:
+            state = self._checked(state)
+        self._new_store(state["seg_units"].size)
+        self.segment_count = state["seg_units"].size
+        # Row r fills its first seg_lens[r] slots.
+        filled = np.arange(p.max_synapses_per_segment) < state["seg_lens"][:, None]
+        for name in (*_ROWS, *_SYNAPSES):
+            getattr(self, name)[filled if name in _SYNAPSES else slice(None)] = state[name]
         self.cell_segment_counts = np.bincount(self.seg_cells,
                                                minlength=len(params) * self.total_cells)
-        self.next_segment_ids = np.array(next_ids, dtype=np.int64)
-        self.step_counts = np.array(steps, dtype=np.int64)
-        self.rngs = list(rngs)
-        self.active_cells = np.concatenate([_EMPTY, *(a + o for a, o in zip(active, offsets))])
-        self.winner_cells = np.concatenate([_EMPTY, *(w + o for w, o in zip(winners, offsets))])
-        # The units' step arrays as given, until the next step replaces them:
-        # a snapshot that shared them pickles back to the same bytes.
-        self._unit_steps = list(zip(active, winners))
+        for name in (*_UNITS, *_STEP):
+            setattr(self, name, state[name])
         self._update_activity()
+
+    def _checked(self, state: dict) -> dict:
+        """Checked int64 and float64 copies of ``state``'s arrays; loads the generators."""
+        count, cells = len(self.params), self.total_cells
+        width = self.params[0].max_synapses_per_segment
+        units = loaded(state["seg_units"], (None,), np.int64, "tm seg_units")
+        if units.size and not 0 <= units.min() <= units.max() < count:
+            raise SnapshotError(f"tm segment units must be integers in [0, {count})")
+        out = {name: loaded(state[name], (count,) if name in _UNITS else units.shape, np.int64,
+                            f"tm {name}") for name in (*_ROWS, *_UNITS)}
+        check_units((out["next_segment_ids"] < 0) | (out["step_counts"] < 0),
+                    "tm step counts and next segment ids must be non-negative")
+        check_units(out["seg_cells"] // cells != units,
+                    f"tm segment cells must lie among their unit's {cells} cells", units)
+        # Each unit's ids increase in row order and stay below its next id.
+        ids, order = out["seg_ids"], np.argsort(units, kind="stable")
+        bad = (ids < 0) | (ids >= out["next_segment_ids"][units])
+        later, earlier = order[1:], order[:-1]
+        bad[later] |= (units[later] == units[earlier]) & (ids[later] <= ids[earlier])
+        check_units(bad, "tm segment ids must increase in row order and stay below the "
+                    "unit's next segment id", units)
+        lens = out["seg_lens"]
+        check_units((lens < 0) | (lens > width), f"tm segments must hold at most {width} synapses",
+                    units)
+        for name in _SYNAPSES:
+            out[name] = loaded(state[name], (int(lens.sum()),),
+                               np.float64 if name == "perm" else np.int64, f"tm {name}")
+        owners = np.repeat(units, lens)
+        check_units(out["presyn"] // cells != owners,
+                    "tm presyn cells must lie among their unit's cells", owners)
+        check_units(outside_unit_interval(out["perm"]), "tm synapse permanences must lie in [0, 1]",
+                    owners)
+        for name in _STEP:
+            out[name] = value = loaded(state[name], (None,), np.int64, f"tm {name}")
+            bad = (value < 0) | (value >= count * cells)
+            bad[1:] |= value[1:] <= value[:-1]
+            check_units(bad, f"tm {name} must be strictly increasing integers in "
+                        f"[0, {count * cells})", np.clip(value // cells, 0, count - 1))
+        if not (isinstance(state["rng_states"], list) and len(state["rng_states"]) == count):
+            raise SnapshotError(f"tm generator states must be a list of {count}")
+        for unit, (rng, rng_state) in enumerate(zip(self.rngs, state["rng_states"])):
+            try:
+                rng.bit_generator.state = rng_state
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
+                raise SnapshotError(f"tm generator state does not load: {exc!r}", unit) from exc
+        return out
 
     @property
     def cells(self) -> tuple:
@@ -265,7 +303,6 @@ class TemporalMemory:
         ).reshape(-1)
         self.active_cells = np.sort(np.concatenate([correct_predicted, burst_cells]))
         self.winner_cells = np.sort(np.concatenate([correct_predicted, burst_winners]))
-        self._unit_steps = None
 
         live = self.seg_units[: self.segment_count] >= 0
         if not live.all():
@@ -413,15 +450,10 @@ class TemporalMemory:
     def _new_store(self, capacity: int) -> None:
         """Empty store arrays of ``capacity`` rows, all padding."""
         width = self.params[0].max_synapses_per_segment
-        self.presyn = np.full((capacity, width), -1, dtype=np.int64)
-        self.perm = np.zeros((capacity, width), dtype=np.float64)
-        self.last_reinforced = np.zeros((capacity, width), dtype=np.int64)
-        self.seg_units = np.full(capacity, -1, dtype=np.int64)
-        self.seg_ids = np.zeros(capacity, dtype=np.int64)
-        self.seg_cells = np.full(capacity, -1, dtype=np.int64)
-        self.seg_lens = np.zeros(capacity, dtype=np.int64)
-        self.seg_last_used = np.zeros(capacity, dtype=np.int64)
-        self.seg_potential = np.zeros(capacity, dtype=np.int64)
+        for name in _STORE:
+            setattr(self, name, np.full((capacity, width) if name in _SYNAPSES else capacity,
+                                        -1 if name in ("presyn", "seg_units", "seg_cells") else 0,
+                                        dtype=np.float64 if name == "perm" else np.int64))
         self.segment_count = 0
 
     def _resize(self, rows: np.ndarray, capacity: int) -> None:
@@ -451,18 +483,17 @@ class TemporalMemory:
 
     # --- serialization --------------------------------------------------------
 
-    def state_dict(self) -> list[dict]:
-        """Each unit's learned and carried state; the parameters are the caller's to keep."""
-        return [cell.state_dict() for cell in self.cells]
+    def state_dict(self) -> dict:
+        """The group's ``ARRAYS``, rows cut to ``segment_count``, and its ``rng_states``.
 
-    def load_state_dict(self, states: Sequence[dict], params: Sequence[TmParams]) -> None:
-        """Restore unit ``i`` from ``states[i]`` under ``params[i]``; arrays are copied.
-
-        Raises ``SnapshotError``, before anything is assigned, if a unit's
-        state does not fit its parameters (see ``checked_state``).
+        Segment activity and predictive cells follow from them, so they are left out.
         """
-        self.assemble(params, [checked_state(state, p)
-                               for state, p in zip(states, params, strict=True)])
+        n = self.segment_count
+        filled = np.arange(self.presyn.shape[1]) < self.seg_lens[:n, None]
+        return {**{name: getattr(self, name)[:n] for name in _ROWS},
+                **{name: getattr(self, name)[:n][filled] for name in _SYNAPSES},
+                **{name: getattr(self, name) for name in (*_UNITS, *_STEP)},
+                "rng_states": [rng.bit_generator.state for rng in self.rngs]}
 
 
 def _row_counts(mask: np.ndarray) -> np.ndarray:
@@ -484,6 +515,16 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 def _unit_rows(name: str) -> property:
     """A ``MemoryCell`` property: the group's per-row array ``name`` at the unit's rows."""
     return property(lambda cell: getattr(cell._group, name)[cell._rows])
+
+
+def _unit_cells(name: str) -> property:
+    """A ``MemoryCell`` property: the unit's entries of the group's sorted cells ``name``."""
+    return property(lambda cell: cell._local(getattr(cell._group, name)))
+
+
+def _unit_segments(name: str) -> property:
+    """A ``MemoryCell`` property: the ids of the unit's rows among the group's rows ``name``."""
+    return property(lambda cell: cell._group.seg_ids[cell._own(getattr(cell._group, name))])
 
 
 class MemoryCell:
@@ -550,27 +591,11 @@ class MemoryCell:
         presyn = self._group.presyn[self._rows]
         return np.where(presyn >= 0, presyn - self._offset, -1)
 
-    @property
-    def active_cells(self) -> np.ndarray:
-        steps = self._group._unit_steps
-        return steps[self._index][0] if steps else self._local(self._group.active_cells)
-
-    @property
-    def winner_cells(self) -> np.ndarray:
-        steps = self._group._unit_steps
-        return steps[self._index][1] if steps else self._local(self._group.winner_cells)
-
-    @property
-    def predictive_cells(self) -> np.ndarray:
-        return self._local(self._group.predictive_cells)
-
-    @property
-    def active_segments(self) -> np.ndarray:
-        return self._group.seg_ids[self._own(self._group.active_segments)]
-
-    @property
-    def matching_segments(self) -> np.ndarray:
-        return self._group.seg_ids[self._own(self._group.matching_segments)]
+    active_cells = _unit_cells("active_cells")
+    winner_cells = _unit_cells("winner_cells")
+    predictive_cells = _unit_cells("predictive_cells")
+    active_segments = _unit_segments("active_segments")
+    matching_segments = _unit_segments("matching_segments")
 
     def state_dict(self) -> dict:
         """Learned and carried state, segments in ascending id order.
@@ -594,52 +619,3 @@ class MemoryCell:
             **{name: getattr(self, name) for name in _STEP},
         }
 
-
-def _fresh_state(params: TmParams) -> tuple:
-    """A new unit's state, laid out as ``checked_state`` gives it.
-
-    A fresh memory has no segments, so nothing is active or predicted.
-    """
-    return (_EMPTY,) * 7 + (0, 0, np.random.default_rng(params.seed), _EMPTY, _EMPTY)
-
-
-def checked_state(state: dict, params: TmParams) -> tuple:
-    """One unit's ``state``, checked against ``params``, as the group store takes it.
-
-    The tuple holds the segments' ids, cells, ``last_used`` steps and lengths,
-    their ``presyn``, ``perm`` and ``last_reinforced`` arrays laid end to end,
-    the next segment id, the step count, the generator and the active and
-    winner cells; cells are the unit's own ids.  Raises ``SnapshotError`` if an index or a segment's length does not fit
-    ``params``, or a permanence lies outside [0, 1].
-    """
-    total_cells = params.column_count * params.cells_per_column
-    width = params.max_synapses_per_segment
-    segments = state["segments"]
-    # Per segment: id, cell, last_used and the lengths of its synapse arrays.
-    table = np.array([(rec["id"], rec["cell"], rec["last_used"], len(rec["presyn"]),
-                        len(rec["perm"]), len(rec["last_reinforced"])) for rec in segments],
-                     dtype=np.int64).reshape(-1, 6)
-    ids, cells, last_used, lens = table[:, :4].T
-    synapses = [np.concatenate([_EMPTY] + [rec[name] for rec in segments])
-                for name in _SYNAPSES]
-    next_segment_id = int(state["next_segment_id"])
-    step = [np.asarray(state[name]) for name in _STEP]
-    check_indices(ids, next_segment_id, "tm segment ids")
-    check_indices(cells, total_cells, "tm segment cells", increasing=False)
-    if np.any(table[:, 4:] != lens[:, None]) or np.any(lens > width):
-        raise SnapshotError(f"tm segments must hold at most {width} synapses, "
-                            "each with a permanence and a last_reinforced step")
-    check_indices(synapses[0], total_cells, "tm presyn cells", increasing=False)
-    check_fractions(synapses[1], "tm synapse permanences")
-    for name, value in zip(_STEP, step):
-        check_indices(value, total_cells, f"tm {name}")
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = state["rng_state"]
-    step_count = int(state["step_count"])
-    # Step arrays are never written in place, so they are kept and arrays
-    # the state shares stay shared.  Unpickled arrays carry an equal copy of
-    # numpy's int64 dtype; numpy's own keeps a reload's pickle byte-identical.
-    step = [value.astype(np.int64, copy=False) for value in step]
-    for value in step:
-        value.dtype = np.dtype(np.int64)
-    return (ids, cells, last_used, lens, *synapses, next_segment_id, step_count, rng, *step)

@@ -76,7 +76,14 @@ def test_nonzero_mean_invariant_under_appended_zeros(scores, zeros):
     assert aggregate_nonzero_mean(padded) == aggregate_nonzero_mean(scores)
 
 
-@given(scores_strategy.filter(lambda s: any(v > 0 for v in s)), st.integers(1, 20))
+# Without subnormal scores: the mean of [0.0, 5e-324] rounds to the same value
+# with a zero appended, so the strict inequality does not hold there.
+normal_scores = st.lists(
+    st.floats(0.0, 1.0, allow_nan=False, allow_subnormal=False), min_size=1, max_size=40
+)
+
+
+@given(normal_scores.filter(lambda s: any(v > 0 for v in s)), st.integers(1, 20))
 def test_mean_not_invariant_under_appended_zeros(scores, zeros):
     padded = scores + [0.0] * zeros
     assert aggregate_mean(padded) < aggregate_mean(scores)

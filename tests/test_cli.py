@@ -214,14 +214,15 @@ def test_stream_frame_size_mismatch_fails(tmp_path, stream_dir, capsys):
 
 def test_resume_with_mismatched_unit_widths_writes_nothing(tmp_path, stream_dir):
     grid = parse_run_config(run_config_text(stream_dir, "unused")).grid
-    state = GridModel(grid).state_dict()
-    state["units"][0][0]["sp"]["pools"] = state["units"][0][0]["sp"]["pools"][:, :-1]
+    header, arrays = GridModel(grid).state_dict()
+    arrays["sp0.pools"] = arrays["sp0.pools"][:, :, :-1]
     snap = tmp_path / "bad.snap"
-    snap.write_bytes(snapshot.pack(SNAPSHOT_KIND, SNAPSHOT_VERSION, state))
+    snap.write_bytes(snapshot.pack(SNAPSHOT_KIND, SNAPSHOT_VERSION, header, arrays))
     run_config = parse_run_config(
         run_config_text(stream_dir, tmp_path / "w") + f"resume = {snap}\n"
     )
-    with pytest.raises(SnapshotError, match=r"unit \(0, 0\): sp pools must have shape"):
+    with pytest.raises(SnapshotError, match=r"cells \(0, 0\), \(0, 1\), \(0, 2\) and 6 more: "
+                                            r"sp pools must be integers of shape"):
         runner.run(run_config)
     assert not os.path.exists(tmp_path / "w.csv")
     assert not os.path.exists(tmp_path / "w_heat")
@@ -230,14 +231,14 @@ def test_resume_with_mismatched_unit_widths_writes_nothing(tmp_path, stream_dir)
 
 def test_resume_with_an_extra_history_entry_writes_nothing(tmp_path, stream_dir):
     grid = parse_run_config(run_config_text(stream_dir, "unused")).grid
-    state = GridModel(grid).state_dict()
-    state["units"][2][1]["history"] = np.zeros((3, 128), dtype=bool)
+    header, arrays = GridModel(grid).state_dict()
+    arrays["sp0.history"] = np.zeros((9, 3, 128), dtype=bool)
     snap = tmp_path / "extra.snap"
-    snap.write_bytes(snapshot.pack(SNAPSHOT_KIND, SNAPSHOT_VERSION, state))
+    snap.write_bytes(snapshot.pack(SNAPSHOT_KIND, SNAPSHOT_VERSION, header, arrays))
     run_config = parse_run_config(
         run_config_text(stream_dir, tmp_path / "h") + f"resume = {snap}\n"
     )
-    with pytest.raises(SnapshotError, match=r"unit \(2, 1\): history ring"):
+    with pytest.raises(SnapshotError, match=r"cells \(0, 0\).*: history ring must be bool"):
         runner.run(run_config)
     assert not os.path.exists(tmp_path / "h.csv")
     assert not os.path.exists(tmp_path / "h_heat")
@@ -289,18 +290,18 @@ def test_corrupt_snapshot_info_fails(tmp_path, capsys):
 def test_version_1_snapshot_info_fails(tmp_path, stream_dir, capsys):
     grid = parse_run_config(run_config_text(stream_dir, "unused")).grid
     path = tmp_path / "v1.snap"
-    path.write_bytes(snapshot.pack(SNAPSHOT_KIND, 1, GridModel(grid).state_dict()))
+    path.write_bytes(snapshot.pack(SNAPSHOT_KIND, 1, *GridModel(grid).state_dict()))
     assert main(["snapshot-info", str(path)]) == 1
     captured = capsys.readouterr()
     assert "version: 1" in captured.out
     assert captured.err.startswith("error:")
-    assert "snapshot version 1, expected 2" in captured.err
+    assert "snapshot version 1, expected 3" in captured.err
 
 
 @pytest.mark.parametrize("payload", [{}, {"config": 1}], ids=["empty", "config-int"])
 def test_malformed_snapshot_info_fails(tmp_path, capsys, payload):
     path = tmp_path / "malformed.snap"
-    path.write_bytes(snapshot.pack(SNAPSHOT_KIND, SNAPSHOT_VERSION, payload))
+    path.write_bytes(snapshot.pack(SNAPSHOT_KIND, SNAPSHOT_VERSION, payload, {}))
     assert main(["snapshot-info", str(path)]) == 1
     assert "not a grid model" in capsys.readouterr().err
 

@@ -132,6 +132,13 @@ def test_invalid_values_enumerated_together():
     assert "smoothing_window" in message
 
 
+@pytest.mark.parametrize("size", ["0x12", "12x0"])
+def test_zero_cell_size_is_a_config_error(size):
+    # The grid shape divides by the cell size, so a zero one is reported, not divided by.
+    with pytest.raises(ConfigError, match="encoder cell_size must be positive"):
+        parse_run_config(MINIMAL_RUN + f"encoder.cell_size = {size}\n")
+
+
 def test_cell_override_keeps_derived_seed():
     run = parse_run_config(
         MINIMAL_RUN

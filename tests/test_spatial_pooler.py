@@ -175,8 +175,7 @@ def test_snapshot_round_trip_bit_exact():
     inputs = [dense(144, np.sort(rng.choice(144, 20, replace=False))) for _ in range(30)]
     for x in inputs:
         step(sp, x, learn=True)
-    restored = SpatialPooler.__new__(SpatialPooler)
-    restored.load_state_dict(sp.state_dict(), sp.params)
+    restored = SpatialPooler(sp.params, sp.state_dict())
     assert states_equal(restored.state_dict(), sp.state_dict())
     assert np.array_equal(restored.connected, sp.connected)
     for x in inputs:
@@ -189,10 +188,9 @@ def test_loaded_state_is_not_shared_with_its_source():
     inputs = [dense(144, np.sort(rng.choice(144, 20, replace=False))) for _ in range(20)]
     for x in inputs[:10]:
         step(sp, x, learn=True)
-    (state,) = sp.state_dict()
+    state = sp.state_dict()
     permanences, duty_cycles = state["permanences"].copy(), state["duty_cycles"].copy()
-    restored = SpatialPooler.__new__(SpatialPooler)
-    restored.load_state_dict([state], sp.params)
+    restored = SpatialPooler(sp.params, state)
     for x in inputs[10:]:
         step(restored, x, learn=True)
     assert np.array_equal(state["permanences"], permanences)
@@ -203,7 +201,7 @@ def test_cells_read_the_group_in_place():
     group = SpatialPooler([make_params(seed=s, boosting_enabled=True) for s in (1, 2, 3)])
     cell = group.cells[1]
     group.compute(np.ones((3, 144), dtype=bool), learn=True)
-    assert cell.permanences is group.permanences[1]
+    assert np.shares_memory(cell.permanences, group.permanences[1])
     assert cell.step_count == 1
     assert np.shares_memory(cell.duty_cycles, group.duty_cycles)
     assert cell.duty_cycles.any()
@@ -214,7 +212,9 @@ def test_stacked_groups_step_as_one_group():
     rng = np.random.default_rng(2)
     inputs = [rng.random((3, 144)) < 0.2 for _ in range(10)]
     whole = SpatialPooler(params)
-    stacked = SpatialPooler.stack([SpatialPooler(params[:1]), SpatialPooler(params[1:])])
+    parts = [SpatialPooler(params[:1]).state_dict(), SpatialPooler(params[1:]).state_dict()]
+    stacked = SpatialPooler(params, {name: np.concatenate([part[name] for part in parts])
+                                     for name in SpatialPooler.ARRAYS})
     for bits in inputs:
         assert np.array_equal(whole.compute(bits, True), stacked.compute(bits, True))
     assert states_equal(whole.state_dict(), stacked.state_dict())

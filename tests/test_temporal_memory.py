@@ -191,7 +191,7 @@ def test_segment_and_synapse_caps_respected():
     for _ in range(500):
         active = np.sort(rng.choice(36, 12, replace=False))
         score(tm, dense(36, active), learn=True)
-    segments = tm.state_dict()[0]["segments"]
+    segments = tm.cells[0].state_dict()["segments"]
     assert segments
     assert np.bincount([seg["cell"] for seg in segments]).max() <= 4
     assert all(seg["presyn"].size <= 8 for seg in segments)
@@ -211,8 +211,7 @@ def test_snapshot_round_trip_continues_bit_identically():
     inputs = [dense(36, np.sort(rng.choice(36, 12, replace=False))) for _ in range(120)]
     for x in inputs[:60]:
         score(tm, x, learn=True)
-    restored = TemporalMemory.__new__(TemporalMemory)
-    restored.load_state_dict(tm.state_dict(), tm.params)
+    restored = TemporalMemory(tm.params, tm.state_dict())
     assert states_equal(restored.state_dict(), tm.state_dict())
     for x in inputs[60:]:
         assert step(restored, x, learn=True) == step(tm, x, learn=True)
@@ -227,8 +226,7 @@ def test_loaded_state_is_not_shared_with_its_source():
         score(tm, x, learn=True)
     state = tm.state_dict()
     before = copy.deepcopy(state)
-    restored = TemporalMemory.__new__(TemporalMemory)
-    restored.load_state_dict(state, tm.params)
+    restored = TemporalMemory(tm.params, state)
     for x in inputs[40:]:
         score(restored, x, learn=True)
     assert states_equal(state, before)
