@@ -16,11 +16,12 @@ grid of 12x12 cells) at the default temporal-memory parameters, so
 to their 32-synapse cap.  Its digests were recorded before learning was
 batched across the rows of a step.
 
-The snapshot digests pin pickle bytes, which name numpy's module paths;
-they were recorded under numpy 2 and are checked only there, and were
-re-recorded when snapshot version 2 dropped the state a load can derive.  The state
-digests read the model's attributes, not its snapshot, so they hold under
-numpy 1 and 2 and across changes to the snapshot layout.
+The snapshot digests pin the bytes of a saved model.  They were re-recorded
+when snapshot version 2 dropped the state a load can derive, and again when
+version 3 replaced the pickle payload with a JSON header and raw arrays.
+Those bytes name no numpy module, so they are checked under numpy 1 and 2.
+The state digests read the model's attributes, not its snapshot, so they
+hold across changes to the snapshot layout.
 """
 
 import hashlib
@@ -80,20 +81,20 @@ GOLDEN = {
         "a86424d1bb6ed56c9a101693ba555bac"
     ),
     "stepped_to_bytes": (
-        "378b69fdd3029367ffa31d40fd98ff51"
-        "81855242955185878e4f10439c8312ec"
+        "74e0a5115adb07b032911ad5afea140a"
+        "390d12eacc84f2407f879d861cc7f7a1"
     ),
     "csv": (
         "0b6fd5310e8dac52cba401110e3c63fa"
         "b4b262d8860efcb4084ad465696568fe"
     ),
     "run_snapshot": (
-        "b6d914a403eaf2f56d4ed122502eb856"
-        "09809869171f4eb031e6c2fe950a5005"
+        "384ed11de8a7d37059e05f2a3e62605f"
+        "196c79ff5be71045dff6cd83e9f45c83"
     ),
     "fresh_to_bytes": (
-        "22cac70c22d8b315609597ca3794d024"
-        "0507ae13dacc52b0dea45b40b2215fd8"
+        "f4143b6f86201a8f918577f01a4f604e"
+        "9c8c44190a463f644b23f7292fc69e75"
     ),
     "state": (
         "a2e9eb878cf28813887868a07ddbeee8"
@@ -126,20 +127,14 @@ GOLDEN_DEFAULT = {
         "80d3675faa23cf7d4ebf545940a634aa"
     ),
     "to_bytes": (
-        "cbb16a436797530a1e7884c4e78aaa49"
-        "df4bfd1ac2e76a446cdae13b47620652"
+        "051300fd507fc5fc9c84b739465b8bba"
+        "9328c109d348cbc0df4e8be44b727954"
     ),
     "state": (
         "a07472b5f881b08cb6ece172de573b50"
         "855396b14286e2340dfad43a45aadcd3"
     ),
 }
-
-numpy2 = pytest.mark.skipif(
-    int(np.__version__.split(".")[0]) < 2,
-    reason="snapshot digests were recorded under numpy 2's pickle module paths",
-)
-
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -235,7 +230,6 @@ def test_state_matches_golden(trace):
     assert trace["reloaded_state"] == trace["state"]
 
 
-@numpy2
 @pytest.mark.parametrize(
     "name", ["stepped_to_bytes", "run_snapshot", "fresh_to_bytes"]
 )
@@ -281,6 +275,5 @@ def test_default_state_matches_golden(default_trace):
     assert default_trace["reloaded_state"] == default_trace["state"]
 
 
-@numpy2
 def test_default_snapshot_bytes_match_golden(default_trace):
     assert default_trace["to_bytes"] == GOLDEN_DEFAULT["to_bytes"]
