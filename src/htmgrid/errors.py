@@ -70,11 +70,6 @@ def check_units(bad: np.ndarray, what: str, owners: np.ndarray | None = None) ->
         raise SnapshotError(what, unit=first if owners is None else int(owners[first]))
 
 
-def outside_unit_interval(values: np.ndarray) -> np.ndarray:
-    """Where ``values`` lie outside ``[0, 1]``; NaN does too."""
-    return ~((values >= 0.0) & (values <= 1.0))
-
-
 def non_finite(prefix: str, params) -> list[str]:
     """A problem for each float field of the dataclass ``params`` that is NaN or infinite."""
     return [f"{prefix}.{name} must be finite, got {value}"

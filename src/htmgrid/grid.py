@@ -116,7 +116,6 @@ class GridConfig(Validated):
                 override.tm or replace(self.default_tm, seed=tm_seed))
 
 
-
 @dataclass(frozen=True)
 class FrameResult:
     """Per-frame output record.
@@ -219,13 +218,15 @@ class GridModel:
         positions)`` parts.  Nothing is assigned until every group is built.
         """
         grows, gcols = config.encoder.grid_shape
-        # Which class windows of each cell held the empty pattern last frame.
-        prev_empty, agg_history = np.zeros((grows, gcols, config.encoder.class_count), bool), []
-        if arrays is not None:
+        flags = (grows, gcols, config.encoder.class_count)
+        if arrays is None:
+            # Which class windows of each cell held the empty pattern last frame.
+            prev_empty, agg_history = np.zeros(flags, dtype=bool), []
+        else:
             if not {"prev_empty", "agg_history"} <= arrays.keys():
                 raise SnapshotError("snapshot lacks the prev_empty or agg_history array")
             # The flags bound the grid by the file's size before a loop over its cells.
-            prev_empty = loaded(arrays["prev_empty"], prev_empty.shape, bool, "snapshot prev_empty")
+            prev_empty = loaded(arrays["prev_empty"], flags, bool, "snapshot prev_empty")
             agg_history = loaded(arrays["agg_history"], (None,), np.float64,
                                  "snapshot agg_history").tolist()
         coords = [(r, c) for r in range(grows) for c in range(gcols)]

@@ -23,8 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (ContractError, Validated, check_bits, check_units, loaded, non_finite,
-                     outside_unit_interval)
+from .errors import ContractError, Validated, check_bits, check_units, loaded, non_finite
 
 __all__ = ["SpParams", "SpatialPooler", "PoolerCell"]
 
@@ -107,7 +106,6 @@ class SpParams(Validated):
         return math.floor(100 * math.log(sys.float_info.max / self.pool_size)) / 100
 
 
-
 class SpatialPooler:
     """The poolers of cells whose ``SpParams`` differ only in ``seed``, stepped as one.
 
@@ -152,8 +150,9 @@ class SpatialPooler:
             ordered = np.all(pools[..., 1:] > pools[..., :-1], axis=2)
             check_units(~ordered | (pools[..., 0] < 0) | (pools[..., -1] >= width),
                         f"sp pool rows must be strictly increasing integers in [0, {width})")
-            for name in ("permanences", "duty_cycles"):
-                check_units(outside_unit_interval(getattr(self, name)),
+            for name in ("permanences", "duty_cycles"):  # NaN lies outside [0, 1] too
+                values = getattr(self, name)
+                check_units(~((values >= 0.0) & (values <= 1.0)),
                             f"sp {name.replace('_', ' ')} must lie in [0, 1]")
             check_units(self.step_counts < 0, "sp step count must be non-negative")
         self.connected = np.stack([_packed_rows(pools, perm >= p.connected_threshold, p.input_width)

@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (ContractError, SnapshotError, Validated, check_bits, check_units, loaded,
-                     non_finite, outside_unit_interval)
+                     non_finite)
 
 __all__ = ["TmParams", "TmStepResult", "TemporalMemory", "MemoryCell"]
 
@@ -122,7 +122,6 @@ class TmParams(Validated):
         return tuple(value for name, value in vars(self).items() if name != "seed")
 
 
-
 @dataclass(frozen=True)
 class TmStepResult:
     """Per-unit results of one group step, each an array over the group's units."""
@@ -145,7 +144,7 @@ class TemporalMemory:
     ARRAYS = (*_ROWS, *_SYNAPSES, *_UNITS, *_STEP)
 
     def __init__(self, params: Sequence[TmParams], state: dict | None = None):
-        """A fresh group, or one restored from checked copies of ``state_dict``'s ``state``.
+        """A fresh group, or one restored from a checked copy of ``state``, a ``state_dict``.
 
         ``SnapshotError`` names the unit whose state does not fit, if one does.
         """
@@ -203,8 +202,8 @@ class TemporalMemory:
         owners = np.repeat(units, lens)
         check_units(out["presyn"] // cells != owners,
                     "tm presyn cells must lie among their unit's cells", owners)
-        check_units(outside_unit_interval(out["perm"]), "tm synapse permanences must lie in [0, 1]",
-                    owners)
+        check_units(~((out["perm"] >= 0.0) & (out["perm"] <= 1.0)),  # NaN is outside too
+                    "tm synapse permanences must lie in [0, 1]", owners)
         for name in _STEP:
             out[name] = value = loaded(state[name], (None,), np.int64, f"tm {name}")
             bad = (value < 0) | (value >= count * cells)
@@ -450,10 +449,15 @@ class TemporalMemory:
     def _new_store(self, capacity: int) -> None:
         """Empty store arrays of ``capacity`` rows, all padding."""
         width = self.params[0].max_synapses_per_segment
-        for name in _STORE:
-            setattr(self, name, np.full((capacity, width) if name in _SYNAPSES else capacity,
-                                        -1 if name in ("presyn", "seg_units", "seg_cells") else 0,
-                                        dtype=np.float64 if name == "perm" else np.int64))
+        self.presyn = np.full((capacity, width), -1, dtype=np.int64)
+        self.perm = np.zeros((capacity, width), dtype=np.float64)
+        self.last_reinforced = np.zeros((capacity, width), dtype=np.int64)
+        self.seg_units = np.full(capacity, -1, dtype=np.int64)
+        self.seg_ids = np.zeros(capacity, dtype=np.int64)
+        self.seg_cells = np.full(capacity, -1, dtype=np.int64)
+        self.seg_lens = np.zeros(capacity, dtype=np.int64)
+        self.seg_last_used = np.zeros(capacity, dtype=np.int64)
+        self.seg_potential = np.zeros(capacity, dtype=np.int64)
         self.segment_count = 0
 
     def _resize(self, rows: np.ndarray, capacity: int) -> None:
