@@ -221,14 +221,15 @@ class GridModel:
         flags = (grows, gcols, config.encoder.class_count)
         if arrays is None:
             # Which class windows of each cell held the empty pattern last frame.
-            prev_empty, agg_history = np.zeros(flags, dtype=bool), []
+            prev_empty, agg_history = np.zeros(flags, dtype=bool), np.zeros(0)
         else:
             if not {"prev_empty", "agg_history"} <= arrays.keys():
                 raise SnapshotError("snapshot lacks the prev_empty or agg_history array")
             # The flags bound the grid by the file's size before a loop over its cells.
             prev_empty = loaded(arrays["prev_empty"], flags, bool, "snapshot prev_empty")
-            agg_history = loaded(arrays["agg_history"], (None,), np.float64,
-                                 "snapshot agg_history").tolist()
+            agg_history = loaded(arrays["agg_history"], (None,), np.float64, "snapshot agg_history")
+            if not np.all((agg_history >= 0.0) & (agg_history <= 1.0)):  # nor NaN
+                raise SnapshotError("snapshot agg_history must lie in [0, 1]")
         coords = [(r, c) for r in range(grows) for c in range(gcols)]
         cells = [config.cell_params(coord) for coord in coords]
         sp_groups, tm_groups = _cell_groups(cells)
@@ -275,7 +276,7 @@ class GridModel:
         self.units = [units[k : k + gcols] for k in range(0, len(cells), gcols)]
         self.prev_empty = prev_empty
         self.frame_counter = frame_counter
-        self._agg_history = deque(agg_history, maxlen=config.smoothing_window)
+        self._agg_history = deque(agg_history.tolist(), maxlen=config.smoothing_window)
 
     def unit(self, r: int, c: int) -> CellUnit:
         return self.units[r][c]

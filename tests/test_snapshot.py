@@ -427,6 +427,18 @@ def test_prev_empty_flags_must_match_the_class_count():
     assert model.to_bytes() == before
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -0.5, 1.5])
+def test_aggregate_history_must_lie_in_the_unit_interval(value):
+    # Every aggregate is a mean of scores in [0, 1]; NaN would spoil the smoothed one.
+    model = stepped_model()
+    before = model.to_bytes()
+    header, arrays = saved_state(model)
+    arrays["agg_history"][-1] = value
+    with pytest.raises(SnapshotError, match=r"agg_history must lie in \[0, 1\]"):
+        model.load_state_dict(header, arrays)
+    assert model.to_bytes() == before
+
+
 @pytest.mark.parametrize("history", [
     np.zeros((1, 3, 128), dtype=bool),
     np.zeros((1, 1, 128), dtype=bool),
