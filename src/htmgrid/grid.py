@@ -153,8 +153,8 @@ def _plain(value, hint):
 def _built(data, hint):
     """The ``hint`` value that ``_plain`` would turn into ``data``, its types unchecked."""
     if is_dataclass(hint):
-        return hint(**{name: _built(value, get_type_hints(hint)[name])
-                       for name, value in data.items()})
+        hints = get_type_hints(hint)
+        return hint(**{name: _built(value, hints[name]) for name, value in data.items()})
     if hint is dict:
         return {(r, c): CellOverride(*(None if part is None else _built(part, cls)
                                        for part, cls in ((sp, SpParams), (tm, TmParams))))
