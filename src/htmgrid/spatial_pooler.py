@@ -7,11 +7,13 @@ local inhibition, so the cells of a grid whose parameters differ only in
 ``seed`` are one group, and one ``compute`` call steps them all; cells still
 share no state.  Cell ``i`` owns row ``i`` of the group's ``pools`` and
 ``permanences``, which a snapshot stores as they are.  The group derives one
-more array from them: each cell's connected synapses packed as bits over its
-input, so an overlap is a popcount of that mask and the packed input.
-Learning rewrites the mask rows of the columns it changes.  Winner selection
-is fully deterministic: ties are broken by ascending column index, and all
-randomness comes from each cell's seed.
+more array from them: each cell's connected synapses as a bool mask of
+``(input_width, column_count)``, one row per input bit.  A column's overlap
+sums the mask rows of the cell's active bits only, so its cost follows the
+input's sparsity.  Learning rewrites the mask entries whose permanence
+crossed the threshold.  Winner selection is fully deterministic: ties are
+broken by ascending column index, and all randomness comes from each cell's
+seed.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from .errors import ContractError, Validated, check_bits, check_units, loaded, n
 __all__ = ["SpParams", "SpatialPooler", "PoolerCell"]
 
 _DUTY_WINDOW = 1000  # duty cycle averaging horizon when boosting is enabled
-# Set bits of every byte value; numpy 1 has no bitwise_count.
-_POPCOUNT = np.array([bin(value).count("1") for value in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,8 @@ class SpatialPooler:
                                       ("duty_cycles", np.float64, 2), ("step_counts", np.int64, 1)):
                 setattr(self, name, loaded(state[name], shape[:size], dtype,
                                            f"sp {name.replace('_', ' ')}"))
-            pools, width = self.pools, p.input_width
+            # As stored: a narrower dtype compares faster, and the range check is the same.
+            pools, width = state["pools"], p.input_width
             ordered = np.all(pools[..., 1:] > pools[..., :-1], axis=2)
             check_units(~ordered | (pools[..., 0] < 0) | (pools[..., -1] >= width),
                         f"sp pool rows must be strictly increasing integers in [0, {width})")
@@ -155,8 +156,12 @@ class SpatialPooler:
                 check_units(~((values >= 0.0) & (values <= 1.0)),
                             f"sp {name.replace('_', ' ')} must lie in [0, 1]")
             check_units(self.step_counts < 0, "sp step count must be non-negative")
-        self.connected = np.stack([_packed_rows(pools, perm >= p.connected_threshold, p.input_width)
-                                   for pools, perm in zip(self.pools, self.permanences)])
+        # Mask entry (i, bit, column) is set where column's synapse on bit is connected.
+        self.connected = np.zeros((len(params), p.input_width, p.column_count), dtype=bool)
+        columns = np.arange(p.column_count)[:, None]
+        for mask, pools, permanences in zip(self.connected, self.pools, self.permanences):
+            mask.reshape(-1)[pools * p.column_count + columns] = (
+                permanences >= p.connected_threshold)
         self.cells = tuple(PoolerCell(self, i) for i in range(len(params)))
 
     def compute(self, bits: np.ndarray, learn: bool) -> np.ndarray:
@@ -168,31 +173,44 @@ class SpatialPooler:
         p = self.params[0]
         count = len(self.params)
         check_bits(bits, (count, p.input_width), "sp input")
-        both = self.connected & np.packbits(bits, axis=1)[:, None, :]
-        overlaps = np.take(_POPCOUNT, both).sum(axis=2, dtype=np.int32)
+        # A running sum of the mask rows of every active bit, read at the cells' bounds.
+        rows = self.connected.reshape(-1, p.column_count)[np.flatnonzero(bits)]
+        sums = np.zeros((len(rows) + 1, p.column_count), dtype=np.int32)
+        np.cumsum(rows, axis=0, dtype=np.int32, out=sums[1:])
+        bounds = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(bits, axis=1), out=bounds[1:])
+        overlaps = np.diff(sums[bounds], axis=0)
 
         ranking = overlaps
         if p.boosting_enabled:
             target = p.active_columns / p.column_count
             factors = np.exp(p.boost_strength * (target - self.duty_cycles) / target)
             ranking = overlaps * factors
-        # Per cell: eligible columns first, then by descending ranking, then by index.
+        # Per cell, the eligible columns of the k highest rankings win, ties going to
+        # the lowest columns: every key below the k-th smallest, then equal ones in order.
         eligible = overlaps >= p.stimulus_threshold
-        top = np.lexsort((-ranking, ~eligible))[:, : p.active_columns]
-        rows = np.arange(count)[:, None]
-        active = np.zeros((count, p.column_count), dtype=bool)
-        active[rows, top] = eligible[rows, top]
+        key = np.where(eligible, -ranking, np.inf)
+        k = p.active_columns
+        kth = np.partition(key, k - 1, axis=1)[:, k - 1 : k]
+        below, ties = key < kth, key == kth
+        room = k - np.count_nonzero(below, axis=1, keepdims=True)
+        active = eligible & (below | (ties & (np.cumsum(ties, axis=1) <= room)))
 
         if learn:
-            for cell in np.flatnonzero(active.any(axis=1)):
-                winners = np.flatnonzero(active[cell])
-                pools, permanences = self.pools[cell][winners], self.permanences[cell]
-                delta = np.where(bits[cell][pools], p.permanence_increment,
-                                 -p.permanence_decrement)
-                changed = np.clip(permanences[winners] + delta, 0.0, 1.0)
-                permanences[winners] = changed
-                self.connected[cell, winners] = _packed_rows(
-                    pools, changed >= p.connected_threshold, p.input_width)
+            # Row r of the (cell, column) rows is cell r // column_count's winner r % column_count.
+            rows = np.flatnonzero(active)
+            cells, winners = np.divmod(rows, p.column_count)
+            pools = self.pools.reshape(-1, p.pool_size)[rows]
+            permanences = self.permanences.reshape(-1, p.pool_size)
+            before = permanences[rows]
+            delta = np.where(bits.reshape(-1)[pools + cells[:, None] * p.input_width],
+                             p.permanence_increment, -p.permanence_decrement)
+            permanences[rows] = after = np.clip(before + delta, 0.0, 1.0)
+            # Only the mask entries whose permanence crossed the threshold change.
+            now = after >= p.connected_threshold
+            changed, slots = np.nonzero(now != (before >= p.connected_threshold))
+            self.connected[cells[changed], pools[changed, slots], winners[changed]] = now[
+                changed, slots]
             if p.boosting_enabled:
                 horizon = np.minimum(self.step_counts + 1, _DUTY_WINDOW)
                 self.duty_cycles += (active - self.duty_cycles) / horizon[:, None]
@@ -229,12 +247,4 @@ class PoolerCell:
             "step_count": self.step_count,
             "duty_cycles": self.duty_cycles,
         }
-
-
-def _packed_rows(pools: np.ndarray, connected: np.ndarray, width: int) -> np.ndarray:
-    """``connected`` scattered over ``width`` input bits at ``pools``, packed per row."""
-    dense = np.zeros((len(pools), width), dtype=bool)
-    offsets = np.arange(len(pools))[:, None] * width
-    dense.ravel()[(pools + offsets).ravel()] = connected.ravel()
-    return np.packbits(dense, axis=1)
 
