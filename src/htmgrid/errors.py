@@ -70,8 +70,19 @@ def check_units(bad: np.ndarray, what: str, owners: np.ndarray | None = None) ->
         raise SnapshotError(what, unit=first if owners is None else int(owners[first]))
 
 
-def non_finite(prefix: str, params) -> list[str]:
-    """A problem for each float field of the dataclass ``params`` that is NaN or infinite."""
-    return [f"{prefix}.{name} must be finite, got {value}"
-            for name, value in vars(params).items()
-            if isinstance(value, float) and not math.isfinite(value)]
+# The largest count a config may give: far above any model the engine steps (the paper's
+# cells have 288 input bits), and a product of two counts stays exact in int64 and float64.
+MAX_COUNT = 2**16
+
+
+def out_of_range(prefix: str, params) -> list[str]:
+    """A problem for each float field of the dataclass ``params`` that is NaN or infinite,
+    and for each count, an integer field or pair other than a seed, above ``MAX_COUNT``."""
+    out = []
+    for name, value in vars(params).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            out.append(f"{prefix}.{name} must be finite, got {value}")
+        counts = value if isinstance(value, tuple) else (value,)
+        if name != "seed" and any(type(count) is int and count > MAX_COUNT for count in counts):
+            out.append(f"{prefix}.{name} must be at most {MAX_COUNT}, got {value}")
+    return out

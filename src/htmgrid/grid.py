@@ -36,7 +36,7 @@ import numpy as np
 
 from .aggregation import AggregationKind, aggregate
 from .encoder import EncoderConfig, encode_frame
-from .errors import SnapshotError, Validated, loaded
+from .errors import SnapshotError, Validated, loaded, out_of_range
 from .sdr import concatenate  # unused here; perfbench's traced spans rebind it
 from .spatial_pooler import SpParams, SpatialPooler
 from .temporal_memory import TmParams, TemporalMemory
@@ -83,6 +83,7 @@ class GridConfig(Validated):
             out.append(f"smoothing_window must be >= 1, got {self.smoothing_window}")
         if self.seed < 0:
             out.append(f"grid seed must be non-negative, got {self.seed}")
+        out.extend(out_of_range("grid", self))
         # A cell size of zero has no grid; the encoder's problems report it.
         grows, gcols = self.encoder.grid_shape if min(self.encoder.cell_size) > 0 else (0, 0)
         pairs = {(self.default_sp, self.default_tm): "default"}
@@ -95,15 +96,11 @@ class GridConfig(Validated):
         input_width = self.encoder.cell_bits * self.encoder.class_count
         for (sp, tm), where in pairs.items():
             if sp.input_width != input_width:
-                out.append(
-                    f"{where}: sp input_width {sp.input_width} != cell bits x "
-                    f"classes ({input_width})"
-                )
+                out.append(f"{where}: sp input_width {sp.input_width} != cell bits x "
+                           f"classes ({input_width})")
             if tm.column_count != sp.column_count * self.multistep_n:
-                out.append(
-                    f"{where}: tm column_count {tm.column_count} != sp columns x "
-                    f"multistep_n ({sp.column_count * self.multistep_n})"
-                )
+                out.append(f"{where}: tm column_count {tm.column_count} != sp columns x "
+                           f"multistep_n ({sp.column_count * self.multistep_n})")
             out.extend(sp.problems())
             out.extend(tm.problems())
         return out

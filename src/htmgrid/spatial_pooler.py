@@ -7,13 +7,11 @@ local inhibition, so the cells of a grid whose parameters differ only in
 ``seed`` are one group, and one ``compute`` call steps them all; cells still
 share no state.  Cell ``i`` owns row ``i`` of the group's ``pools`` and
 ``permanences``, which a snapshot stores as they are.  The group derives one
-more array from them: each cell's connected synapses as a bool mask of
-``(input_width, column_count)``, one row per input bit.  A column's overlap
-sums the mask rows of the cell's active bits only, so its cost follows the
-input's sparsity.  Learning rewrites the mask entries whose permanence
-crossed the threshold.  Winner selection is fully deterministic: ties are
-broken by ascending column index, and all randomness comes from each cell's
-seed.
+more array from them: each cell's connected synapses as a bool mask with a row
+of columns per input bit, so an overlap sums the rows of the active bits only.
+Learning rewrites the mask entries whose permanence crossed the threshold.
+Winner selection is fully deterministic: ties are broken by ascending column
+index, and all randomness comes from each cell's seed.
 """
 
 from __future__ import annotations
@@ -25,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, Validated, check_bits, check_units, loaded, non_finite
+from .errors import (MAX_COUNT, ContractError, Validated, check_bits, check_units, loaded,
+                     out_of_range)
 
 __all__ = ["SpParams", "SpatialPooler", "PoolerCell"]
 
@@ -55,18 +54,12 @@ class SpParams(Validated):
         if self.active_columns <= 0:
             out.append(f"sp active_columns must be positive, got {self.active_columns}")
         elif self.active_columns > self.column_count:
-            out.append(
-                f"sp active_columns ({self.active_columns}) exceeds "
-                f"column_count ({self.column_count})"
-            )
+            out.append(f"sp active_columns ({self.active_columns}) exceeds "
+                       f"column_count ({self.column_count})")
         if not 0.0 < self.potential_fraction <= 1.0:
-            out.append(
-                f"sp potential_fraction must be in (0, 1], got {self.potential_fraction}"
-            )
+            out.append(f"sp potential_fraction must be in (0, 1], got {self.potential_fraction}")
         if not 0.0 < self.connected_threshold < 1.0:
-            out.append(
-                f"sp connected_threshold must be in (0, 1), got {self.connected_threshold}"
-            )
+            out.append(f"sp connected_threshold must be in (0, 1), got {self.connected_threshold}")
         if self.permanence_increment <= 0.0:
             out.append("sp permanence_increment must be > 0")
         if self.permanence_decrement < 0.0:
@@ -75,16 +68,14 @@ class SpParams(Validated):
             out.append("sp stimulus_threshold must be >= 0")
         if self.boost_strength < 0.0:
             out.append(f"sp boost_strength must be >= 0, got {self.boost_strength}")
-        elif (self.input_width > 0 and 0.0 < self.potential_fraction <= 1.0
+        elif (0 < self.input_width <= MAX_COUNT and 0.0 < self.potential_fraction <= 1.0
               and self.boost_strength > self.max_boost_strength):
-            out.append(
-                f"sp boost_strength must be at most {self.max_boost_strength} for a pool of "
-                f"{self.pool_size} bits, got {self.boost_strength}: a larger boost overflows "
-                "pool_size * exp(boost_strength)"
-            )
+            out.append(f"sp boost_strength must be at most {self.max_boost_strength} for a pool "
+                       f"of {self.pool_size} bits, got {self.boost_strength}: a larger boost "
+                       "overflows pool_size * exp(boost_strength)")
         if self.seed < 0:
             out.append("sp seed must be non-negative")
-        return out + non_finite("sp", self)
+        return out + out_of_range("sp", self)
 
     @property
     def group_key(self) -> tuple:
@@ -156,12 +147,11 @@ class SpatialPooler:
                 check_units(~((values >= 0.0) & (values <= 1.0)),
                             f"sp {name.replace('_', ' ')} must lie in [0, 1]")
             check_units(self.step_counts < 0, "sp step count must be non-negative")
-        # Mask entry (i, bit, column) is set where column's synapse on bit is connected.
+        # Entry (i, bit, column) is set where cell i's column has a connected synapse on bit.
         self.connected = np.zeros((len(params), p.input_width, p.column_count), dtype=bool)
         columns = np.arange(p.column_count)[:, None]
-        for mask, pools, permanences in zip(self.connected, self.pools, self.permanences):
-            mask.reshape(-1)[pools * p.column_count + columns] = (
-                permanences >= p.connected_threshold)
+        for mask, pools, perm in zip(self.connected, self.pools, self.permanences):
+            mask.reshape(-1)[pools * p.column_count + columns] = perm >= p.connected_threshold
         self.cells = tuple(PoolerCell(self, i) for i in range(len(params)))
 
     def compute(self, bits: np.ndarray, learn: bool) -> np.ndarray:
@@ -171,14 +161,12 @@ class SpatialPooler:
         winners set.  Permanences change only when ``learn`` is true.
         """
         p = self.params[0]
-        count = len(self.params)
-        check_bits(bits, (count, p.input_width), "sp input")
+        check_bits(bits, (len(self.params), p.input_width), "sp input")
         # A running sum of the mask rows of every active bit, read at the cells' bounds.
         rows = self.connected.reshape(-1, p.column_count)[np.flatnonzero(bits)]
         sums = np.zeros((len(rows) + 1, p.column_count), dtype=np.int32)
         np.cumsum(rows, axis=0, dtype=np.int32, out=sums[1:])
-        bounds = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(bits, axis=1), out=bounds[1:])
+        bounds = np.concatenate(([0], np.count_nonzero(bits, axis=1).cumsum()))
         overlaps = np.diff(sums[bounds], axis=0)
 
         ranking = overlaps
@@ -197,8 +185,7 @@ class SpatialPooler:
         active = eligible & (below | (ties & (np.cumsum(ties, axis=1) <= room)))
 
         if learn:
-            # Row r of the (cell, column) rows is cell r // column_count's winner r % column_count.
-            rows = np.flatnonzero(active)
+            rows = np.flatnonzero(active)  # cell * column_count + winner
             cells, winners = np.divmod(rows, p.column_count)
             pools = self.pools.reshape(-1, p.pool_size)[rows]
             permanences = self.permanences.reshape(-1, p.pool_size)
@@ -206,11 +193,10 @@ class SpatialPooler:
             delta = np.where(bits.reshape(-1)[pools + cells[:, None] * p.input_width],
                              p.permanence_increment, -p.permanence_decrement)
             permanences[rows] = after = np.clip(before + delta, 0.0, 1.0)
-            # Only the mask entries whose permanence crossed the threshold change.
-            now = after >= p.connected_threshold
-            changed, slots = np.nonzero(now != (before >= p.connected_threshold))
-            self.connected[cells[changed], pools[changed, slots], winners[changed]] = now[
-                changed, slots]
+            # A mask entry flips where its permanence crossed the threshold.
+            crossed = (after >= p.connected_threshold) != (before >= p.connected_threshold)
+            changed, slots = np.nonzero(crossed)
+            self.connected[cells[changed], pools[changed, slots], winners[changed]] ^= True
             if p.boosting_enabled:
                 horizon = np.minimum(self.step_counts + 1, _DUTY_WINDOW)
                 self.duty_cycles += (active - self.duty_cycles) / horizon[:, None]
@@ -241,10 +227,6 @@ class PoolerCell:
 
     def state_dict(self) -> dict:
         """The cell's learned state; the arrays are the group's, which learning mutates."""
-        return {
-            "pools": self.pools,
-            "permanences": self.permanences,
-            "step_count": self.step_count,
-            "duty_cycles": self.duty_cycles,
-        }
+        return {"pools": self.pools, "permanences": self.permanences,
+                "step_count": self.step_count, "duty_cycles": self.duty_cycles}
 

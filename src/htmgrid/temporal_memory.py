@@ -48,8 +48,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (ContractError, SnapshotError, Validated, check_bits, check_units, loaded,
-                     non_finite)
+from .errors import (MAX_COUNT, ContractError, SnapshotError, Validated, check_bits, check_units,
+                     loaded, out_of_range)
 
 __all__ = ["TmParams", "TmStepResult", "TemporalMemory", "MemoryCell"]
 
@@ -87,6 +87,9 @@ class TmParams(Validated):
             out.append(f"tm column_count must be positive, got {self.column_count}")
         if self.cells_per_column <= 0:
             out.append("tm cells_per_column must be positive")
+        elif self.column_count * self.cells_per_column > MAX_COUNT:
+            out.append(f"tm column_count x cells_per_column must be at most {MAX_COUNT} cells "
+                       f"per unit, got {self.column_count} x {self.cells_per_column}")
         if self.max_segments_per_cell <= 0:
             out.append("tm max_segments_per_cell must be positive")
         if self.max_synapses_per_segment <= 0:
@@ -106,15 +109,13 @@ class TmParams(Validated):
         if self.min_threshold <= 0:
             out.append("tm min_threshold must be positive")
         elif self.min_threshold > self.activation_threshold:
-            out.append(
-                f"tm min_threshold ({self.min_threshold}) exceeds "
-                f"activation_threshold ({self.activation_threshold})"
-            )
+            out.append(f"tm min_threshold ({self.min_threshold}) exceeds "
+                       f"activation_threshold ({self.activation_threshold})")
         if self.new_synapse_count <= 0:
             out.append("tm new_synapse_count must be positive")
         if self.seed < 0:
             out.append("tm seed must be non-negative")
-        return out + non_finite("tm", self)
+        return out + out_of_range("tm", self)
 
     @property
     def group_key(self) -> tuple:

@@ -3,6 +3,7 @@ from dataclasses import fields, replace
 from typing import get_type_hints
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from htmgrid import (
     AggregationKind,
@@ -251,6 +252,75 @@ def test_missing_required_keys():
         build_run_config({})
     assert "input" in str(excinfo.value)
     assert "encoder.frame_size" in str(excinfo.value)
+
+
+
+FUZZ_RUN = """
+input = stream
+learn = false
+calibration_frames = 10
+workers = 4
+aggregation = nonzero_mean
+smoothing_window = 50
+output.scores_csv = out.csv
+output.per_cell = true
+encoder.frame_size = 48x48
+encoder.cell_size = 12x12
+encoder.class_count = 2
+encoder.min_sparsity = 3
+encoder.empty_pattern_sparsity = 4
+encoder.seed = 9
+grid.seed = 2
+grid.multistep_n = 3
+sp.column_count = 64
+sp.active_columns = 4
+sp.potential_fraction = 0.85
+sp.stimulus_threshold = 1
+sp.boosting_enabled = true
+sp.boost_strength = 2.0
+tm.cells_per_column = 4
+tm.max_segments_per_cell = 16
+tm.max_synapses_per_segment = 24
+tm.activation_threshold = 6
+tm.min_threshold = 3
+tm.new_synapse_count = 10
+cell.1.2.sp.column_count = 32
+cell.1.2.tm.seed = 7
+"""
+
+_HUGE = 10**200
+# Huge, negative and non-numeric values, sizes and pairs among them.
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from([str(_HUGE), str(2**63), str(2**40), str(-(2**70)), "-1", "0", "65537",
+                     "1e400", "nan", "-inf", "abc", "", "1.5", "true", "12,12", "1" * 5000,
+                     f"{_HUGE}x{_HUGE}", f"{2**40}x12", "-12x12", "0x0", "1x1", "65537x12"]),
+    st.integers(-(2**70), 2**70).map(str),
+    st.tuples(st.integers(-(2**20), 2**20), st.integers(-(2**20), 2**20)).map(
+        lambda size: f"{size[0]}x{size[1]}"),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_config_text_raises_only_config_error(data):
+    # Swapped values and dropped or duplicated lines make a config or a ConfigError.
+    lines = FUZZ_RUN.strip().splitlines()
+    for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+        if not lines:
+            break
+        at = data.draw(st.integers(0, len(lines) - 1), label="line")
+        kind = data.draw(st.sampled_from(["value", "drop", "duplicate"]), label="kind")
+        if kind == "value":
+            lines[at] = f"{lines[at].partition('=')[0]}= {data.draw(_FUZZ_VALUES, label='value')}"
+        elif kind == "drop":
+            del lines[at]
+        else:
+            lines.insert(at, lines[at])
+    try:
+        parse_run_config("\n".join(lines))
+    except ConfigError:
+        pass
 
 
 SCENARIO_TEXT = """

@@ -708,6 +708,7 @@ def _config_leaves(value, path=()):
 _CONFIG = FUZZ_HEADER["config"]
 _CONFIG_PATHS = list(_config_leaves(_CONFIG))[1:]
 _VALUES = st.one_of(st.booleans(), st.integers(-3, 300), st.floats(allow_nan=True),
+                    st.sampled_from([2**40, 10**30, -(2**70)]),  # far past any count's bound
                     st.text(max_size=4), st.none(), st.lists(st.integers(0, 30), max_size=3),
                     st.sampled_from(["median", "MEAN", "nonzero"]), st.just({}))
 

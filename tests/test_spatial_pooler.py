@@ -77,6 +77,32 @@ def test_width_mismatch(bits):
         sp.compute(bits, learn=False)
 
 
+CONNECTED = [1, 2, 2, 2, 1, 2, 2, 4, 2, 4]
+
+
+def fixed_overlaps(**kwargs) -> SpatialPooler:
+    """Ten columns that pool all 4 bits: an all-one input overlaps column c by ``CONNECTED[c]``."""
+    params = make_params(input_width=4, column_count=10, active_columns=4,
+                         potential_fraction=1.0, **kwargs)
+    permanences = (np.arange(4) < np.array(CONNECTED)[:, None]) * 0.5
+    return SpatialPooler([params], {"pools": np.tile(np.arange(4), (1, 10, 1)),
+                                    "permanences": permanences[None],
+                                    "duty_cycles": np.zeros((1, 10)),
+                                    "step_counts": np.zeros(1, dtype=np.int64)})
+
+
+def test_columns_tied_at_the_last_place_go_to_the_lowest_indices():
+    # Columns 7 and 9 lead; six columns tie for the last two places, and 1 and 2 take them.
+    out = step(fixed_overlaps(), np.ones(4, dtype=bool), learn=False)
+    assert np.flatnonzero(out).tolist() == [1, 2, 7, 9]
+
+
+def test_fewer_eligible_columns_than_active_columns_all_win_alone():
+    # Only columns 7 and 9 reach the threshold of 3, so 2 of the 4 places are filled.
+    out = step(fixed_overlaps(stimulus_threshold=3), np.ones(4, dtype=bool), learn=False)
+    assert np.flatnonzero(out).tolist() == [7, 9]
+
+
 def test_all_zero_input_gives_empty_output():
     sp = pooler(stimulus_threshold=1)
     out = step(sp, dense(144), learn=True)
@@ -246,11 +272,13 @@ def pooler_runs(draw):
     seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12))
     steps = []
     for _ in range(draw(st.integers(1, 6))):
-        # Sparse, dense, all-zero and all-one rows; narrow inputs tie overlaps.
-        density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+        # All-zero, sparse, dense and all-one rows mixed in one step, so a cell's active
+        # bits may start or end the group's or be none; narrow inputs tie overlaps.
+        densities = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+                                  min_size=len(seeds), max_size=len(seeds)))
         seed = draw(st.integers(0, 2**32 - 1))
-        bits = np.random.default_rng(seed).random((len(seeds), width)) < density
-        steps.append((bits, draw(st.booleans())))
+        noise = np.random.default_rng(seed).random((len(seeds), width))
+        steps.append((noise < np.array(densities)[:, None], draw(st.booleans())))
     return [replace(base, seed=s) for s in seeds], steps
 
 
@@ -264,6 +292,9 @@ def test_group_matches_per_cell_oracle(run):
         got = group.compute(bits, learn)
         want = [oracle.compute(row, learn) for oracle, row in zip(oracles, bits)]
         assert np.array_equal(got, np.array(want))
+        # Learning rewrites only the crossed mask entries; a rebuilt mask must agree.
+        assert np.array_equal(group.connected,
+                              SpatialPooler(group.params, group.state_dict()).connected)
     for cell, oracle in zip(group.cells, oracles):
         assert np.array_equal(cell.pools, oracle.pools)
         assert np.array_equal(cell.permanences, oracle.permanences)
