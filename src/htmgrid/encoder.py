@@ -43,23 +43,21 @@ class EncoderConfig(Validated):
         if cr <= 0 or cc <= 0:
             out.append(f"encoder cell_size must be positive, got {self.cell_size}")
         elif fr > 0 and fc > 0 and (fr % cr or fc % cc):
-            out.append(f"frame size {fr}x{fc} is not an exact multiple of cell size {cr}x{cc}; "
-                       "pad the masks upstream")
+            out.append(
+                f"frame size {fr}x{fc} is not an exact multiple of cell size "
+                f"{cr}x{cc}; pad the masks upstream"
+            )
         elif (fr // cr) * (fc // cc) > MAX_COUNT:
             out.append(f"encoder grid must have at most {MAX_COUNT} cells, "
                        f"got {fr // cr}x{fc // cc}")
-        if self.class_count <= 0:
-            out.append("encoder class_count must be positive")
-        if self.min_sparsity < 0:
-            out.append("encoder min_sparsity must be >= 0")
-        if self.empty_pattern_sparsity < 0:
-            out.append("encoder empty_pattern_sparsity must be >= 0")
-        elif cr > 0 and cc > 0 and self.empty_pattern_sparsity > cr * cc:
-            out.append(f"encoder empty_pattern_sparsity ({self.empty_pattern_sparsity}) "
-                       f"exceeds cell bit count ({cr * cc})")
+        if cr > 0 and cc > 0 and self.empty_pattern_sparsity > cr * cc:
+            out.append(
+                f"encoder empty_pattern_sparsity ({self.empty_pattern_sparsity}) "
+                f"exceeds cell bit count ({cr * cc})"
+            )
         if self.seed < 0:
             out.append("encoder seed must be non-negative")
-        return out + out_of_range("encoder", self)
+        return out + out_of_range("encoder", self, ("min_sparsity", "empty_pattern_sparsity"))
 
     @property
     def grid_shape(self) -> tuple[int, int]:

@@ -75,14 +75,15 @@ def check_units(bad: np.ndarray, what: str, owners: np.ndarray | None = None) ->
 MAX_COUNT = 2**16
 
 
-def out_of_range(prefix: str, params) -> list[str]:
-    """A problem for each float field of the dataclass ``params`` that is NaN or infinite,
-    and for each count, an integer field or pair other than a seed, above ``MAX_COUNT``."""
+def out_of_range(prefix: str, params, zero_ok: tuple = ()) -> list[str]:
+    """A problem for each float field of the dataclass ``params`` that is NaN or infinite, and
+    for each integer count, a field but a seed, outside [1, ``MAX_COUNT``], or outside
+    [0, ``MAX_COUNT``] where ``zero_ok`` names it."""
     out = []
     for name, value in vars(params).items():
+        low = 0 if name in zero_ok else 1
         if isinstance(value, float) and not math.isfinite(value):
             out.append(f"{prefix}.{name} must be finite, got {value}")
-        counts = value if isinstance(value, tuple) else (value,)
-        if name != "seed" and any(type(count) is int and count > MAX_COUNT for count in counts):
-            out.append(f"{prefix}.{name} must be at most {MAX_COUNT}, got {value}")
+        elif type(value) is int and name != "seed" and not low <= value <= MAX_COUNT:
+            out.append(f"{prefix}.{name} must be in [{low}, {MAX_COUNT}], got {value}")
     return out

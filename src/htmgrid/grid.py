@@ -76,14 +76,9 @@ class GridConfig(Validated):
     smoothing_window: int = 200
 
     def problems(self) -> list[str]:
-        out = list(self.encoder.problems())
-        if self.multistep_n < 1:
-            out.append(f"multistep_n must be >= 1, got {self.multistep_n}")
-        if self.smoothing_window < 1:
-            out.append(f"smoothing_window must be >= 1, got {self.smoothing_window}")
+        out = self.encoder.problems() + out_of_range("grid", self)
         if self.seed < 0:
             out.append(f"grid seed must be non-negative, got {self.seed}")
-        out.extend(out_of_range("grid", self))
         # A cell size of zero has no grid; the encoder's problems report it.
         grows, gcols = self.encoder.grid_shape if min(self.encoder.cell_size) > 0 else (0, 0)
         pairs = {(self.default_sp, self.default_tm): "default"}
@@ -96,11 +91,15 @@ class GridConfig(Validated):
         input_width = self.encoder.cell_bits * self.encoder.class_count
         for (sp, tm), where in pairs.items():
             if sp.input_width != input_width:
-                out.append(f"{where}: sp input_width {sp.input_width} != cell bits x "
-                           f"classes ({input_width})")
+                out.append(
+                    f"{where}: sp input_width {sp.input_width} != cell bits x "
+                    f"classes ({input_width})"
+                )
             if tm.column_count != sp.column_count * self.multistep_n:
-                out.append(f"{where}: tm column_count {tm.column_count} != sp columns x "
-                           f"multistep_n ({sp.column_count * self.multistep_n})")
+                out.append(
+                    f"{where}: tm column_count {tm.column_count} != sp columns x "
+                    f"multistep_n ({sp.column_count * self.multistep_n})"
+                )
             out.extend(sp.problems())
             out.extend(tm.problems())
         return out

@@ -47,35 +47,35 @@ class SpParams(Validated):
 
     def problems(self) -> list[str]:
         out = []
-        if self.input_width <= 0:
-            out.append(f"sp input_width must be positive, got {self.input_width}")
-        if self.column_count <= 0:
-            out.append(f"sp column_count must be positive, got {self.column_count}")
-        if self.active_columns <= 0:
-            out.append(f"sp active_columns must be positive, got {self.active_columns}")
-        elif self.active_columns > self.column_count:
-            out.append(f"sp active_columns ({self.active_columns}) exceeds "
-                       f"column_count ({self.column_count})")
+        if self.active_columns > self.column_count:
+            out.append(
+                f"sp active_columns ({self.active_columns}) exceeds "
+                f"column_count ({self.column_count})"
+            )
         if not 0.0 < self.potential_fraction <= 1.0:
-            out.append(f"sp potential_fraction must be in (0, 1], got {self.potential_fraction}")
+            out.append(
+                f"sp potential_fraction must be in (0, 1], got {self.potential_fraction}"
+            )
         if not 0.0 < self.connected_threshold < 1.0:
-            out.append(f"sp connected_threshold must be in (0, 1), got {self.connected_threshold}")
+            out.append(
+                f"sp connected_threshold must be in (0, 1), got {self.connected_threshold}"
+            )
         if self.permanence_increment <= 0.0:
             out.append("sp permanence_increment must be > 0")
         if self.permanence_decrement < 0.0:
             out.append("sp permanence_decrement must be >= 0")
-        if self.stimulus_threshold < 0:
-            out.append("sp stimulus_threshold must be >= 0")
         if self.boost_strength < 0.0:
             out.append(f"sp boost_strength must be >= 0, got {self.boost_strength}")
         elif (0 < self.input_width <= MAX_COUNT and 0.0 < self.potential_fraction <= 1.0
               and self.boost_strength > self.max_boost_strength):
-            out.append(f"sp boost_strength must be at most {self.max_boost_strength} for a pool "
-                       f"of {self.pool_size} bits, got {self.boost_strength}: a larger boost "
-                       "overflows pool_size * exp(boost_strength)")
+            out.append(
+                f"sp boost_strength must be at most {self.max_boost_strength} for a pool of "
+                f"{self.pool_size} bits, got {self.boost_strength}: a larger boost overflows "
+                "pool_size * exp(boost_strength)"
+            )
         if self.seed < 0:
             out.append("sp seed must be non-negative")
-        return out + out_of_range("sp", self)
+        return out + out_of_range("sp", self, ("stimulus_threshold",))
 
     @property
     def group_key(self) -> tuple:
@@ -227,6 +227,10 @@ class PoolerCell:
 
     def state_dict(self) -> dict:
         """The cell's learned state; the arrays are the group's, which learning mutates."""
-        return {"pools": self.pools, "permanences": self.permanences,
-                "step_count": self.step_count, "duty_cycles": self.duty_cycles}
+        return {
+            "pools": self.pools,
+            "permanences": self.permanences,
+            "step_count": self.step_count,
+            "duty_cycles": self.duty_cycles,
+        }
 

@@ -83,17 +83,9 @@ class TmParams(Validated):
 
     def problems(self) -> list[str]:
         out = []
-        if self.column_count <= 0:
-            out.append(f"tm column_count must be positive, got {self.column_count}")
-        if self.cells_per_column <= 0:
-            out.append("tm cells_per_column must be positive")
-        elif self.column_count * self.cells_per_column > MAX_COUNT:
+        if self.column_count * self.cells_per_column > MAX_COUNT:
             out.append(f"tm column_count x cells_per_column must be at most {MAX_COUNT} cells "
                        f"per unit, got {self.column_count} x {self.cells_per_column}")
-        if self.max_segments_per_cell <= 0:
-            out.append("tm max_segments_per_cell must be positive")
-        if self.max_synapses_per_segment <= 0:
-            out.append("tm max_synapses_per_segment must be positive")
         if not 0.0 < self.initial_permanence < 1.0:
             out.append("tm initial_permanence must be in (0, 1)")
         if not 0.0 < self.connected_threshold < 1.0:
@@ -104,15 +96,11 @@ class TmParams(Validated):
             out.append("tm permanence_decrement must be >= 0")
         if self.predicted_decrement < 0.0:
             out.append("tm predicted_decrement must be >= 0")
-        if self.activation_threshold <= 0:
-            out.append("tm activation_threshold must be positive")
-        if self.min_threshold <= 0:
-            out.append("tm min_threshold must be positive")
-        elif self.min_threshold > self.activation_threshold:
-            out.append(f"tm min_threshold ({self.min_threshold}) exceeds "
-                       f"activation_threshold ({self.activation_threshold})")
-        if self.new_synapse_count <= 0:
-            out.append("tm new_synapse_count must be positive")
+        if self.min_threshold > self.activation_threshold:
+            out.append(
+                f"tm min_threshold ({self.min_threshold}) exceeds "
+                f"activation_threshold ({self.activation_threshold})"
+            )
         if self.seed < 0:
             out.append("tm seed must be non-negative")
         return out + out_of_range("tm", self)
