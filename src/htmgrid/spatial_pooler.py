@@ -195,7 +195,7 @@ class SpatialPooler:
             permanences[rows] = after = np.clip(before + delta, 0.0, 1.0)
             # A mask entry flips where its permanence crossed the threshold.
             crossed = (after >= p.connected_threshold) != (before >= p.connected_threshold)
-            changed, slots = np.nonzero(crossed)
+            changed, slots = np.divmod(np.flatnonzero(crossed), p.pool_size)
             self.connected[cells[changed], pools[changed, slots], winners[changed]] ^= True
             if p.boosting_enabled:
                 horizon = np.minimum(self.step_counts + 1, _DUTY_WINDOW)
