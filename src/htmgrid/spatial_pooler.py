@@ -233,4 +233,3 @@ class PoolerCell:
             "step_count": self.step_count,
             "duty_cycles": self.duty_cycles,
         }
-

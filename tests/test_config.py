@@ -254,7 +254,6 @@ def test_missing_required_keys():
     assert "encoder.frame_size" in str(excinfo.value)
 
 
-
 FUZZ_RUN = """
 input = stream
 learn = false
@@ -299,6 +298,21 @@ _FUZZ_VALUES = st.one_of(
         lambda size: f"{size[0]}x{size[1]}"),
     st.text(max_size=6),
 )
+
+
+@pytest.mark.parametrize("lines, problem", [
+    (f"encoder.frame_size = {_HUGE}x{_HUGE}\nencoder.cell_size = {_HUGE}x{_HUGE}",
+     r"sp\.input_width must be in \[1, 65536\], got 1000"),
+    ("encoder.frame_size = 1024x1024\nencoder.cell_size = 2x2",
+     "encoder grid must have at most 65536 cells, got 512x512"),
+    ("encoder.frame_size = 36x36\ntm.cells_per_column = 300",
+     "tm column_count x cells_per_column must be at most 65536 cells per unit, got 256 x 300"),
+    ("encoder.frame_size = 36x36\nsmoothing_window = 65537",
+     r"grid\.smoothing_window must be in \[1, 65536\], got 65537"),
+], ids=["huge-cells", "grid-cells", "memory-cells", "window"])
+def test_sizes_past_the_count_bound_are_config_errors(lines, problem):
+    with pytest.raises(ConfigError, match=problem):
+        parse_run_config(f"input = stream\n{lines}\n")
 
 
 @settings(max_examples=300, deadline=None)
