@@ -163,9 +163,10 @@ class SpatialPooler:
         p = self.params[0]
         check_bits(bits, (len(self.params), p.input_width), "sp input")
         # A running sum of the mask rows of every active bit, read at the cells' bounds.
-        rows = self.connected.reshape(-1, p.column_count)[np.flatnonzero(bits)]
-        sums = np.zeros((len(rows) + 1, p.column_count), dtype=np.int32)
-        np.cumsum(rows, axis=0, dtype=np.int32, out=sums[1:])
+        active_bits = np.flatnonzero(bits)
+        sums = np.zeros((len(active_bits) + 1, p.column_count), dtype=np.int32)
+        sums[1:] = self.connected.reshape(-1, p.column_count)[active_bits]
+        np.cumsum(sums, axis=0, out=sums)
         bounds = np.concatenate(([0], np.count_nonzero(bits, axis=1).cumsum()))
         overlaps = np.diff(sums[bounds], axis=0)
 
@@ -190,9 +191,11 @@ class SpatialPooler:
             pools = self.pools.reshape(-1, p.pool_size)[rows]
             permanences = self.permanences.reshape(-1, p.pool_size)
             before = permanences[rows]
-            delta = np.where(bits.reshape(-1)[pools + cells[:, None] * p.input_width],
-                             p.permanence_increment, -p.permanence_decrement)
-            permanences[rows] = after = np.clip(before + delta, 0.0, 1.0)
+            # A synapse on an active bit gains the increment; every other one loses the decrement.
+            after = before - p.permanence_decrement
+            np.add(before, p.permanence_increment, out=after,
+                   where=bits.reshape(-1)[pools + cells[:, None] * p.input_width])
+            permanences[rows] = np.clip(after, 0.0, 1.0, out=after)
             # A mask entry flips where its permanence crossed the threshold.
             crossed = (after >= p.connected_threshold) != (before >= p.connected_threshold)
             changed, slots = np.divmod(np.flatnonzero(crossed), p.pool_size)
