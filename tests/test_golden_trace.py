@@ -20,11 +20,14 @@ The snapshot digests pin the bytes of a saved model.  They were re-recorded
 when snapshot version 2 dropped the state a load can derive, and again when
 version 3 replaced the pickle payload with a JSON header and raw arrays.
 Those bytes name no numpy module, so they are checked under numpy 1 and 2.
-The state digests read the model's attributes, not its snapshot, so they
-hold across changes to the snapshot layout.
+The state digests hash the model's ``state_dict()`` with the arrays that a
+load derives from it, read from the layer groups.  They were re-recorded
+when they stopped reading per-cell views, and they cover more than those
+views did: each pooler group's connected mask, and the header as JSON.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -97,8 +100,8 @@ GOLDEN = {
         "9c8c44190a463f644b23f7292fc69e75"
     ),
     "state": (
-        "a2e9eb878cf28813887868a07ddbeee8"
-        "a04c62f2b878bf05c0b80ada8e175b88"
+        "49581605bb767f985329461f1bb2da21"
+        "f2c129daf5bd0d514ea2f3abe50117f7"
     ),
 }
 
@@ -131,8 +134,8 @@ GOLDEN_DEFAULT = {
         "9328c109d348cbc0df4e8be44b727954"
     ),
     "state": (
-        "a07472b5f881b08cb6ece172de573b50"
-        "855396b14286e2340dfad43a45aadcd3"
+        "6c8b1f2bc720f878e85363cbe09fd562"
+        "c2c431a6ff7f08ae01798afc84ffd861"
     ),
 }
 
@@ -141,30 +144,31 @@ def sha(data: bytes) -> str:
 
 
 def state_digest(model) -> str:
-    """Digest of a model's live state, read from its attributes.
+    """Digest of a model's state: its snapshot header and arrays, and each group's derived arrays.
 
-    Store rows are cut to their lengths, so capacity and padding do not count.
+    The arrays are hashed in name order with their dtypes and shapes.  The
+    derived ones (each memory group's potential counts, segment counts per
+    cell, predictive cells and segment activity, and each pooler group's
+    connected mask) are rebuilt by a load, so a reloaded model must match.
     """
     digest = hashlib.sha256()
 
-    def put(*arrays):
-        for a in arrays:
-            digest.update(np.ascontiguousarray(a).tobytes())
+    def put(name, array):
+        array = np.ascontiguousarray(array)
+        digest.update(f"{name} {array.dtype.str} {array.shape}".encode())
+        digest.update(array.tobytes())
 
-    put(np.int64(model.frame_counter), model.prev_empty,
-        np.asarray(model._agg_history, dtype=np.float64))
-    for row in model.units:
-        for unit in row:
-            sp, tm = unit.sp, unit.tm
-            put(unit.history, sp.pools, sp.permanences, sp.duty_cycles, np.int64(sp.step_count))
-            n = tm.segment_count
-            filled = np.arange(tm.presyn.shape[1]) < tm.seg_lens[:n, None]
-            put(tm.seg_ids[:n], tm.seg_cells[:n], tm.seg_lens[:n], tm.seg_last_used[:n],
-                tm.seg_potential[:n], tm.presyn[:n][filled], tm.perm[:n][filled],
-                tm.last_reinforced[:n][filled], tm.cell_segment_counts)
-            put(tm.active_cells, tm.winner_cells, tm.predictive_cells, tm.active_segments,
-                tm.matching_segments, np.int64([tm.next_segment_id, tm.step_count]))
-            digest.update(repr(tm.rng.bit_generator.state).encode())
+    header, arrays = model.state_dict()
+    digest.update(json.dumps(header, sort_keys=True).encode())
+    for name in sorted(arrays):
+        put(name, arrays[name])
+    for g, (_, group, _) in enumerate(model._poolers):
+        put(f"sp{g}.connected", group.connected)
+    for g, (_, group, _) in enumerate(model._memories):
+        put(f"tm{g}.seg_potential", group.seg_potential[: group.segment_count])
+        for name in ("cell_segment_counts", "predictive_cells", "active_segments",
+                     "matching_segments"):
+            put(f"tm{g}.{name}", getattr(group, name))
     return digest.hexdigest()
 
 
