@@ -128,8 +128,18 @@ class FrameResult:
     aggregate_smoothed: float
 
 
-# One cell's view of the model: its pooler cell, memory cell and history ring.
+# One cell's view of the model: its pooler and memory views and its history ring.
 CellUnit = namedtuple("CellUnit", "sp tm history")
+
+
+class CellView(namedtuple("CellView", "group index")):
+    """Unit ``index`` of a pooler or memory ``group``, read through ``group.unit_state``."""
+
+    __slots__ = ()
+    params = property(lambda self: self.group.params[self.index])
+
+    def state_dict(self) -> dict:
+        return self.group.unit_state(self.index)
 
 
 def _plain(value, hint):
@@ -240,7 +250,7 @@ class GridModel:
                                     "missing or unknown to its config")
             if not (isinstance(rng_states, list) and len(rng_states) == len(tm_groups)):
                 raise SnapshotError("snapshot rng_states must hold a list per memory group")
-        poolers, rings_at = [], [None] * len(cells)
+        poolers, sp_at, tm_at = [], [None] * len(cells), [None] * len(cells)
         for g, members in enumerate(sp_groups):
             where, params = [coords[k] for k in members], [cells[k][0] for k in members]
             shape = (len(members), config.multistep_n, params[0].column_count)
@@ -250,7 +260,7 @@ class GridModel:
             rings = np.zeros(shape, dtype=bool) if state is None else _for_cells(
                 where, loaded, state["history"], shape, bool, "history ring")
             for i, k in enumerate(members):
-                rings_at[k] = (g, i)
+                sp_at[k] = (g, i)
             poolers.append((np.array(members), group, rings))
         memories = []
         for g, members in enumerate(tm_groups):
@@ -259,23 +269,32 @@ class GridModel:
                 **{name: arrays[f"tm{g}.{name}"] for name in TemporalMemory.ARRAYS},
                 "rng_states": rng_states[g]}
             group = _for_cells(where, TemporalMemory, params, state)
-            runs = groupby((rings_at[k] for k in members), key=lambda at: at[0])
+            for i, k in enumerate(members):
+                tm_at[k] = (g, i)
+            runs = groupby((sp_at[k] for k in members), key=lambda at: at[0])
             parts = [(poolers[p][2], np.array([i for _, i in run])) for p, run in runs]
             memories.append((np.array(members), group, parts))
         self.config, self.grid_shape = config, (grows, gcols)
         self._poolers, self._memories = poolers, memories
-        sp_cells, tm_cells = ({k: cell for members, group, _ in layer
-                               for k, cell in zip(members.tolist(), group.cells)}
-                              for layer in (poolers, memories))
-        units = [CellUnit(sp_cells[k], tm_cells[k], poolers[g][2][i])
-                 for k, (g, i) in enumerate(rings_at)]
-        self.units = [units[k : k + gcols] for k in range(0, len(cells), gcols)]
+        # Per cell, row-major: its (pooler group, index, memory group, index).
+        at = [(*sp, *tm) for sp, tm in zip(sp_at, tm_at)]
+        self._units_at = [at[k : k + gcols] for k in range(0, len(cells), gcols)]
         self.prev_empty = prev_empty
         self.frame_counter = frame_counter
         self._agg_history = deque(agg_history.tolist(), maxlen=config.smoothing_window)
 
     def unit(self, r: int, c: int) -> CellUnit:
-        return self.units[r][c]
+        """Cell ``(r, c)``'s views and history ring; the views read the groups as they are."""
+        sp_group, sp_index, tm_group, tm_index = self._units_at[r][c]
+        _, pooler, rings = self._poolers[sp_group]
+        return CellUnit(CellView(pooler, sp_index),
+                        CellView(self._memories[tm_group][1], tm_index), rings[sp_index])
+
+    @property
+    def units(self) -> list:
+        """``unit(r, c)`` of every cell, as a list of grid rows."""
+        rows, cols = self.grid_shape
+        return [[self.unit(r, c) for c in range(cols)] for r in range(rows)]
 
     def step(self, planes, learn: bool = True, workers: int = 1) -> FrameResult:
         """Process one frame: each pooler group at once, then each memory group at once.

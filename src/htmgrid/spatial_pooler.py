@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (MAX_COUNT, ContractError, Validated, check_bits, check_units, loaded,
                      out_of_range)
 
-__all__ = ["SpParams", "SpatialPooler", "PoolerCell"]
+__all__ = ["SpParams", "SpatialPooler"]
 
 _DUTY_WINDOW = 1000  # duty cycle averaging horizon when boosting is enabled
 
@@ -100,9 +100,9 @@ class SpParams(Validated):
 class SpatialPooler:
     """The poolers of cells whose ``SpParams`` differ only in ``seed``, stepped as one.
 
-    Cell ``i`` has ``params[i]``, row ``i`` of ``pools``, ``permanences``,
-    ``duty_cycles`` and ``step_counts``, and ``cells[i]``, a view of all of
-    them.  A single writer; distinct groups may run in parallel.
+    Cell ``i`` has ``params[i]`` and row ``i`` of ``pools``, ``permanences``,
+    ``duty_cycles`` and ``step_counts``; ``unit_state(i)`` reads them
+    together.  A single writer; distinct groups may run in parallel.
     """
 
     # The arrays a snapshot holds, as ``state_dict`` gives them.
@@ -152,7 +152,6 @@ class SpatialPooler:
         columns = np.arange(p.column_count)[:, None]
         for mask, pools, perm in zip(self.connected, self.pools, self.permanences):
             mask.reshape(-1)[pools * p.column_count + columns] = perm >= p.connected_threshold
-        self.cells = tuple(PoolerCell(self, i) for i in range(len(params)))
 
     def compute(self, bits: np.ndarray, learn: bool) -> np.ndarray:
         """Pool a bool array of ``(cells, input_width)``; others raise ``ContractError``.
@@ -212,27 +211,7 @@ class SpatialPooler:
         """The group's ``ARRAYS``, which learning mutates; the parameters are the caller's."""
         return {name: getattr(self, name) for name in self.ARRAYS}
 
-
-class PoolerCell:
-    """One cell of a group, read in place: the state a per-cell pooler would hold."""
-
-    __slots__ = ("params", "pools", "permanences", "duty_cycles", "_steps")
-
-    def __init__(self, group: SpatialPooler, index: int):
-        self.params = group.params[index]
-        self.pools, self.permanences = group.pools[index], group.permanences[index]
-        self.duty_cycles = group.duty_cycles[index]
-        self._steps = group.step_counts[index : index + 1]
-
-    @property
-    def step_count(self) -> int:
-        return int(self._steps[0])
-
-    def state_dict(self) -> dict:
-        """The cell's learned state; the arrays are the group's, which learning mutates."""
-        return {
-            "pools": self.pools,
-            "permanences": self.permanences,
-            "step_count": self.step_count,
-            "duty_cycles": self.duty_cycles,
-        }
+    def unit_state(self, i: int) -> dict:
+        """Cell ``i``'s learned state; its arrays are the group's rows, which learning mutates."""
+        return {"pools": self.pools[i], "permanences": self.permanences[i],
+                "step_count": int(self.step_counts[i]), "duty_cycles": self.duty_cycles[i]}

@@ -51,7 +51,7 @@ import numpy as np
 from .errors import (MAX_COUNT, ContractError, SnapshotError, Validated, check_bits, check_units,
                      loaded, out_of_range)
 
-__all__ = ["TmParams", "TmStepResult", "TemporalMemory", "MemoryCell"]
+__all__ = ["TmParams", "TmStepResult", "TemporalMemory"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -124,8 +124,8 @@ class TemporalMemory:
     """The sequence memories of units whose ``TmParams`` differ only in ``seed``, stepped as one.
 
     Unit ``i`` has ``params[i]``, ``rngs[i]``, entry ``i`` of ``step_counts``
-    and ``next_segment_ids``, the store rows it owns, and ``cells[i]``, a view
-    of all of it.  A single writer; distinct groups may run in parallel.
+    and ``next_segment_ids``, and the store rows it owns; ``unit_state(i)``
+    reads them together.  A single writer; distinct groups may run in parallel.
     """
 
     # The arrays a snapshot holds: the live store rows, their synapses in row
@@ -207,15 +207,6 @@ class TemporalMemory:
             except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise SnapshotError(f"tm generator state does not load: {exc!r}", unit) from exc
         return out
-
-    @property
-    def cells(self) -> tuple:
-        """A ``MemoryCell`` per unit, made on each read.
-
-        The group keeps no reference to its views: the cycle would keep a
-        dropped model's store alive until the cyclic garbage collector ran.
-        """
-        return tuple(MemoryCell(self, i) for i in range(len(self.params)))
 
     # --- stepping ---------------------------------------------------------
 
@@ -488,6 +479,35 @@ class TemporalMemory:
                 **{name: getattr(self, name) for name in (*_UNITS, *_STEP)},
                 "rng_states": [rng.bit_generator.state for rng in self.rngs]}
 
+    def unit_state(self, i: int) -> dict:
+        """Unit ``i``'s learned and carried state, as a memory of its own would hold it.
+
+        Cells and ``presyn`` are the unit's own ids and segments are in
+        ascending id order.  Segment activity and the predictive cells follow
+        from the store and ``active_cells``, so they are left out.
+        """
+        offset = i * self.total_cells
+        rows = np.flatnonzero(self.seg_units[: self.segment_count] == i)
+        table = zip(self.seg_ids[rows].tolist(), (self.seg_cells[rows] - offset).tolist(),
+                    self.seg_lens[rows].tolist(), self.seg_last_used[rows].tolist(),
+                    self.presyn[rows] - offset, self.perm[rows], self.last_reinforced[rows])
+
+        def local(cells):  # the unit's entries of the group's sorted cells
+            lo, hi = np.searchsorted(cells, [offset, offset + self.total_cells])
+            return cells[lo:hi] - offset
+
+        return {
+            "segments": [
+                {"id": sid, "cell": cell, "presyn": presyn[:size], "perm": perm[:size],
+                 "last_reinforced": reinforced[:size], "last_used": last_used}
+                for sid, cell, size, last_used, presyn, perm, reinforced in table
+            ],
+            "next_segment_id": int(self.next_segment_ids[i]),
+            "rng_state": self.rngs[i].bit_generator.state,
+            "step_count": int(self.step_counts[i]),
+            **{name: local(getattr(self, name)) for name in _STEP},
+        }
+
 
 def _row_counts(mask: np.ndarray) -> np.ndarray:
     """True entries per row of a 2-D bool array.
@@ -503,112 +523,3 @@ def _row_counts(mask: np.ndarray) -> np.ndarray:
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct entries of sorted non-negative ``values``; cheaper than ``np.unique``."""
     return values[np.diff(values, prepend=-1) != 0]
-
-
-def _unit_rows(name: str) -> property:
-    """A ``MemoryCell`` property: the group's per-row array ``name`` at the unit's rows."""
-    return property(lambda cell: getattr(cell._group, name)[cell._rows])
-
-
-def _unit_cells(name: str) -> property:
-    """A ``MemoryCell`` property: the unit's entries of the group's sorted cells ``name``."""
-    return property(lambda cell: cell._local(getattr(cell._group, name)))
-
-
-def _unit_segments(name: str) -> property:
-    """A ``MemoryCell`` property: the ids of the unit's rows among the group's rows ``name``."""
-    return property(lambda cell: cell._group.seg_ids[cell._own(getattr(cell._group, name))])
-
-
-class MemoryCell:
-    """One unit of a group, read through the group: the state a per-unit memory would hold.
-
-    Cells and ``presyn`` are the unit's own ids, segments are in ascending id
-    order, and ``active_segments``/``matching_segments`` are segment ids.
-    Each read gathers the unit's rows anew, so it reflects the latest step.
-    """
-
-    __slots__ = ("_group", "_index", "params", "total_cells", "rng")
-
-    def __init__(self, group: TemporalMemory, index: int):
-        self._group, self._index = group, index
-        self.params, self.total_cells = group.params[index], group.total_cells
-        self.rng = group.rngs[index]
-
-    @property
-    def _offset(self) -> int:
-        return self._index * self.total_cells
-
-    @property
-    def _rows(self) -> np.ndarray:
-        g = self._group
-        return np.flatnonzero(g.seg_units[: g.segment_count] == self._index)
-
-    def _own(self, rows: np.ndarray) -> np.ndarray:
-        return rows[self._group.seg_units[rows] == self._index]
-
-    def _local(self, cells: np.ndarray) -> np.ndarray:
-        """This unit's entries of the group's sorted ``cells``, as the unit's cell ids."""
-        lo, hi = np.searchsorted(cells, [self._offset, self._offset + self.total_cells])
-        return cells[lo:hi] - self._offset
-
-    @property
-    def segment_count(self) -> int:
-        return self._rows.size
-
-    @property
-    def step_count(self) -> int:
-        return int(self._group.step_counts[self._index])
-
-    @property
-    def next_segment_id(self) -> int:
-        return int(self._group.next_segment_ids[self._index])
-
-    @property
-    def cell_segment_counts(self) -> np.ndarray:
-        return self._group.cell_segment_counts[self._offset : self._offset + self.total_cells]
-
-    seg_ids = _unit_rows("seg_ids")
-    seg_lens = _unit_rows("seg_lens")
-    seg_last_used = _unit_rows("seg_last_used")
-    seg_potential = _unit_rows("seg_potential")
-    perm = _unit_rows("perm")
-    last_reinforced = _unit_rows("last_reinforced")
-
-    @property
-    def seg_cells(self) -> np.ndarray:
-        return self._group.seg_cells[self._rows] - self._offset
-
-    @property
-    def presyn(self) -> np.ndarray:
-        presyn = self._group.presyn[self._rows]
-        return np.where(presyn >= 0, presyn - self._offset, -1)
-
-    active_cells = _unit_cells("active_cells")
-    winner_cells = _unit_cells("winner_cells")
-    predictive_cells = _unit_cells("predictive_cells")
-    active_segments = _unit_segments("active_segments")
-    matching_segments = _unit_segments("matching_segments")
-
-    def state_dict(self) -> dict:
-        """Learned and carried state, segments in ascending id order.
-
-        Segment activity and the predictive cells follow from the store and
-        ``active_cells``, so they are left out, as are the parameters.
-        """
-        g, rows = self._group, self._rows
-        table = zip(g.seg_ids[rows].tolist(), (g.seg_cells[rows] - self._offset).tolist(),
-                    g.seg_lens[rows].tolist(), g.seg_last_used[rows].tolist(),
-                    g.presyn[rows] - self._offset, g.perm[rows], g.last_reinforced[rows])
-        return {
-            "segments": [
-                {"id": sid, "cell": cell, "presyn": presyn[:size], "perm": perm[:size],
-                 "last_reinforced": reinforced[:size], "last_used": last_used}
-                for sid, cell, size, last_used, presyn, perm, reinforced in table
-            ],
-            "next_segment_id": self.next_segment_id,
-            "rng_state": self.rng.bit_generator.state,
-            "step_count": self.step_count,
-            **{name: getattr(self, name) for name in _STEP},
-        }
-

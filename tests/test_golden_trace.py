@@ -212,9 +212,9 @@ def test_trace_exercises_every_learning_path(trace):
     full_cells = full_segments = created = live = 0
     for row in model.units:
         for unit in row:
-            state = unit.tm.state_dict()
+            state, p = unit.tm.state_dict(), unit.tm.params
             cells = np.bincount([s["cell"] for s in state["segments"]],
-                                minlength=unit.tm.total_cells)
+                                minlength=p.column_count * p.cells_per_column)
             full_cells += int(np.count_nonzero(cells == 2))
             full_segments += sum(s["presyn"].size == 12 for s in state["segments"])
             created += state["next_segment_id"]

@@ -1,9 +1,14 @@
+import gc
+import importlib
+import pkgutil
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import htmgrid
 from htmgrid import (
     CellOverride,
     ConfigError,
@@ -34,6 +39,35 @@ def test_cell_count_is_grid_product():
     assert sum(len(row) for row in model.units) == 100
 
 
+def test_dropped_model_frees_every_group_at_once():
+    # Cell views refer to their groups and nothing refers back to a view, so
+    # no cycle holds a dropped model's groups until the cyclic collector runs.
+    run = parse_run_config("input = stream\nencoder.frame_size = 36x36\n"
+                           "cell.1.2.sp.permanence_increment = 0.1\n"
+                           "cell.0.0.tm.cells_per_column = 4\n")
+    model = GridModel(run.grid)
+    model.step(blob_planes())
+    unit, units = model.unit(1, 2), model.units
+    groups = [weakref.ref(group) for layer in (model._poolers, model._memories)
+              for _, group, _ in layer]
+    assert len(groups) == 4
+    gc.disable()
+    try:
+        del model, unit, units
+        assert [group() for group in groups] == [None] * 4
+    finally:
+        gc.enable()
+
+
+def test_every_exported_name_resolves():
+    modules = [htmgrid, *(importlib.import_module(f"htmgrid.{info.name}")
+                          for info in pkgutil.iter_modules(htmgrid.__path__))]
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []
+    assert len([module for module in modules if hasattr(module, "__all__")]) >= 11
+
+
 def test_identical_configs_build_identical_models(small_grid_config):
     a, b = GridModel(small_grid_config), GridModel(small_grid_config)
     assert a.to_bytes() == b.to_bytes()
@@ -50,14 +84,16 @@ def test_override_touches_only_its_cell(small_grid_config):
     )
     other = GridModel(config)
     assert not np.array_equal(
-        base.unit(0, 0).sp.permanences, other.unit(0, 0).sp.permanences
+        base.unit(0, 0).sp.state_dict()["permanences"],
+        other.unit(0, 0).sp.state_dict()["permanences"],
     )
     for r in range(3):
         for c in range(3):
             if (r, c) == (0, 0):
                 continue
             assert np.array_equal(
-                base.unit(r, c).sp.permanences, other.unit(r, c).sp.permanences
+                base.unit(r, c).sp.state_dict()["permanences"],
+                other.unit(r, c).sp.state_dict()["permanences"],
             )
             assert base.unit(r, c).sp.params == other.unit(r, c).sp.params
 
@@ -238,8 +274,9 @@ def test_override_group_of_one_steps_as_a_standalone_cell(monkeypatch):
         assert result.certainty[1, 2] == single.certainty[0, 0]
     cell, other = model.unit(1, 2), alone.unit(0, 0)
     assert np.array_equal(cell.history, other.history)
-    assert np.array_equal(cell.sp.permanences, other.sp.permanences)
-    assert cell.tm.segment_count == other.tm.segment_count > 0
+    assert np.array_equal(cell.sp.state_dict()["permanences"],
+                          other.sp.state_dict()["permanences"])
+    assert len(cell.tm.state_dict()["segments"]) == len(other.tm.state_dict()["segments"]) > 0
 
 
 @pytest.mark.parametrize("override, sizes", [
@@ -280,7 +317,7 @@ def test_override_memory_steps_as_a_standalone_cell(monkeypatch, override, sizes
     cell, other = model.unit(1, 2), alone.unit(0, 0)
     assert cell.tm.params == other.tm.params == tm
     assert states_equal(cell.tm.state_dict(), other.tm.state_dict())
-    assert cell.tm.segment_count > 0
+    assert len(cell.tm.state_dict()["segments"]) > 0
     data = model.to_bytes()
     assert GridModel.from_bytes(data).to_bytes() == data
 

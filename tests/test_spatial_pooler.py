@@ -25,23 +25,24 @@ def step(sp: SpatialPooler, bits: np.ndarray, learn: bool) -> np.ndarray:
 
 
 def test_construction_is_deterministic():
-    a, b = pooler().cells[0], pooler().cells[0]
-    assert np.array_equal(a.pools, b.pools)
-    assert np.array_equal(a.permanences, b.permanences)
+    a, b = pooler().unit_state(0), pooler().unit_state(0)
+    assert np.array_equal(a["pools"], b["pools"])
+    assert np.array_equal(a["permanences"], b["permanences"])
 
 
 def test_pool_size_matches_fraction():
-    sp = pooler(potential_fraction=0.85).cells[0]
-    assert sp.params.pool_size == round(0.85 * 144)
-    assert sp.pools.shape == (128, sp.params.pool_size)
+    sp = pooler(potential_fraction=0.85)
+    pools, pool_size = sp.unit_state(0)["pools"], sp.params[0].pool_size
+    assert pool_size == round(0.85 * 144)
+    assert pools.shape == (128, pool_size)
     # every pool is a distinct subset of the input
-    assert np.all(np.diff(sp.pools, axis=1) > 0)
-    assert sp.pools.min() >= 0 and sp.pools.max() < 144
+    assert np.all(np.diff(pools, axis=1) > 0)
+    assert pools.min() >= 0 and pools.max() < 144
 
 
 def test_full_potential_fraction_pools_everything():
-    sp = pooler(potential_fraction=1.0).cells[0]
-    assert np.array_equal(sp.pools, np.tile(np.arange(144), (128, 1)))
+    pools = pooler(potential_fraction=1.0).unit_state(0)["pools"]
+    assert np.array_equal(pools, np.tile(np.arange(144), (128, 1)))
 
 
 def test_single_column_degenerate_grid():
@@ -115,7 +116,7 @@ def test_compute_is_pure_without_learning():
     first = step(sp, x, learn=False)
     second = step(sp, x, learn=False)
     assert np.array_equal(first, second)
-    assert sp.cells[0].step_count == 0
+    assert sp.unit_state(0)["step_count"] == 0
 
 
 def test_output_sparsity_bound():
@@ -223,14 +224,14 @@ def test_loaded_state_is_not_shared_with_its_source():
     assert np.array_equal(state["duty_cycles"], duty_cycles)
 
 
-def test_cells_read_the_group_in_place():
+def test_unit_state_reads_the_group_in_place():
     group = SpatialPooler([make_params(seed=s, boosting_enabled=True) for s in (1, 2, 3)])
-    cell = group.cells[1]
+    cell = group.unit_state(1)
     group.compute(np.ones((3, 144), dtype=bool), learn=True)
-    assert np.shares_memory(cell.permanences, group.permanences[1])
-    assert cell.step_count == 1
-    assert np.shares_memory(cell.duty_cycles, group.duty_cycles)
-    assert cell.duty_cycles.any()
+    assert np.shares_memory(cell["permanences"], group.permanences[1])
+    assert group.unit_state(1)["step_count"] == 1
+    assert np.shares_memory(cell["duty_cycles"], group.duty_cycles)
+    assert cell["duty_cycles"].any()
 
 
 def test_stacked_groups_step_as_one_group():
@@ -295,8 +296,9 @@ def test_group_matches_per_cell_oracle(run):
         # Learning rewrites only the crossed mask entries; a rebuilt mask must agree.
         assert np.array_equal(group.connected,
                               SpatialPooler(group.params, group.state_dict()).connected)
-    for cell, oracle in zip(group.cells, oracles):
-        assert np.array_equal(cell.pools, oracle.pools)
-        assert np.array_equal(cell.permanences, oracle.permanences)
-        assert np.array_equal(cell.duty_cycles, oracle.duty_cycles)
-        assert cell.step_count == oracle.step_count
+    for i, oracle in enumerate(oracles):
+        cell = group.unit_state(i)
+        assert np.array_equal(cell["pools"], oracle.pools)
+        assert np.array_equal(cell["permanences"], oracle.permanences)
+        assert np.array_equal(cell["duty_cycles"], oracle.duty_cycles)
+        assert cell["step_count"] == oracle.step_count

@@ -1,6 +1,4 @@
 import copy
-import gc
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -56,7 +54,7 @@ def test_width_mismatch(columns):
     tm = make_tm()
     with pytest.raises(ContractError, match=r"tm active columns must be bool of shape \(1, 36\)"):
         tm.compute(columns, learn=True)
-    assert tm.cells[0].step_count == 0
+    assert tm.unit_state(0)["step_count"] == 0
 
 
 def test_group_units_differ_only_in_seed():
@@ -64,21 +62,6 @@ def test_group_units_differ_only_in_seed():
         TemporalMemory([TmParams(column_count=36), TmParams(column_count=36, cells_per_column=4)])
     with pytest.raises(ContractError, match="differ only in seed"):
         TemporalMemory([])
-
-
-def test_dropped_group_is_freed_at_once():
-    # Views refer to their group and the group keeps none of them, so no
-    # cycle holds a dropped model's store until the cyclic collector runs.
-    tm = make_tm()
-    cell = tm.cells[0]
-    score(tm, A, learn=True)
-    group = weakref.ref(tm)
-    gc.disable()
-    try:
-        del tm, cell
-        assert group() is None
-    finally:
-        gc.enable()
 
 
 def test_input_is_only_read():
@@ -108,14 +91,15 @@ def test_constant_input_converges_and_stays():
 
 
 def test_anomaly_matches_unpredicted_fraction():
+    # A group of one: the unit's cells are the group's.
     tm = make_tm()
-    cell = tm.cells[0]
+    cpc = tm.params[0].cells_per_column
     rng = np.random.default_rng(2)
     for _ in range(200):
         active = np.sort(rng.choice(36, 12, replace=False))
         predicted_cols = (
-            np.unique(cell.predictive_cells // cell.params.cells_per_column)
-            if cell.predictive_cells.size
+            np.unique(tm.predictive_cells // cpc)
+            if tm.predictive_cells.size
             else np.empty(0, dtype=np.int64)
         )
         expected = np.setdiff1d(active, predicted_cols).size / active.size
@@ -159,15 +143,14 @@ def test_contextual_loop_characterization():
     # scores 0: the memory keeps re-entering the state it just left, so a
     # "frozen" input does not register as anomalous on those steps.
     tm = make_tm()
-    cell = tm.cells[0]
     for _ in range(50):
         score(tm, A, learn=True)
         score(tm, B, learn=True)
     predicted_zero_pairs = 0
     for _ in range(12):
-        if cell.predictive_cells.size:
+        if tm.predictive_cells.size:
             predicted_cols = np.unique(
-                cell.predictive_cells // cell.params.cells_per_column
+                tm.predictive_cells // tm.params[0].cells_per_column
             )
         else:
             predicted_cols = np.empty(0, dtype=np.int64)
@@ -191,7 +174,7 @@ def test_segment_and_synapse_caps_respected():
     for _ in range(500):
         active = np.sort(rng.choice(36, 12, replace=False))
         score(tm, dense(36, active), learn=True)
-    segments = tm.cells[0].state_dict()["segments"]
+    segments = tm.unit_state(0)["segments"]
     assert segments
     assert np.bincount([seg["cell"] for seg in segments]).max() <= 4
     assert all(seg["presyn"].size <= 8 for seg in segments)
@@ -361,5 +344,5 @@ def test_group_matches_per_cell_oracle(run):
         want = [oracle.compute(row, learn) for oracle, row in zip(oracles, bits)]
         assert result.anomaly_scores.tolist() == [score for score, _ in want]
         assert result.predictive_column_counts.tolist() == [count for _, count in want]
-        for cell, oracle in zip(group.cells, oracles):
-            assert states_equal(cell.state_dict(), oracle.state_dict())
+        for i, oracle in enumerate(oracles):
+            assert states_equal(group.unit_state(i), oracle.state_dict())
