@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import MAX_COUNT, ConfigError, out_of_range
 
 __all__ = [
     "LinearLoop",
@@ -108,15 +108,17 @@ def object_position(track: ObjectTrack, t: int, frame_size) -> tuple[int, int]:
     return int(r), int(c)
 
 
+def _sides(what: str, size) -> list[str]:
+    """A problem unless both sides of ``size`` lie in [1, ``MAX_COUNT``]."""
+    if all(1 <= side <= MAX_COUNT for side in size):
+        return []
+    return [f"{what} sides must be in [1, {MAX_COUNT}], got {size[0]}x{size[1]}"]
+
+
 def _validate(scenario: Scenario) -> list[str]:
-    out = []
+    """The scenario's problems; every count is bounded, so none sizes a runaway allocation."""
+    out = _sides("scenario.frame_size", scenario.frame_size) + out_of_range("scenario", scenario)
     rows, cols = scenario.frame_size
-    if rows <= 0 or cols <= 0:
-        out.append(f"frame_size must be positive, got {scenario.frame_size}")
-    if scenario.frame_count <= 0:
-        out.append(f"frame_count must be positive, got {scenario.frame_count}")
-    if scenario.class_count <= 0:
-        out.append("class_count must be positive")
     if scenario.seed < 0:
         out.append(f"seed must be non-negative, got {scenario.seed}")
     noise = scenario.noise
@@ -126,8 +128,8 @@ def _validate(scenario: Scenario) -> list[str]:
         out.append("object_dropout_probability must be in [0, 1)")
     for i, track in enumerate(scenario.objects):
         sr, sc = track.shape
-        if sr <= 0 or sc <= 0:
-            out.append(f"object {i}: shape must be positive, got {track.shape}")
+        if shape_problems := _sides(f"object.{i}.shape", track.shape):
+            out.extend(shape_problems)
             continue
         if sr > rows or sc > cols:
             out.append(f"object {i}: shape {track.shape} does not fit the frame")
@@ -152,20 +154,15 @@ def _validate(scenario: Scenario) -> list[str]:
                     f"object {i}: position ({r}, {c}) puts the rectangle out of frame"
                 )
     for i, event in enumerate(scenario.events):
-        if isinstance(event, FrameRepeat):
-            if event.duration < 1:
-                out.append(f"event {i}: repeat duration must be >= 1")
-            if not 0 <= event.at < scenario.frame_count:
-                out.append(f"event {i}: repeat start {event.at} outside the stream")
-        elif isinstance(event, FrameSkip):
-            if event.count < 1:
-                out.append(f"event {i}: skip count must be >= 1")
-            if not 0 <= event.at < scenario.frame_count:
-                out.append(f"event {i}: skip start {event.at} outside the stream")
-            elif event.at + event.count > scenario.frame_count:
-                out.append(f"event {i}: skip window exceeds the stream")
-        else:
+        if not isinstance(event, (FrameRepeat, FrameSkip)):
             out.append(f"event {i}: unknown event kind {type(event).__name__}")
+            continue
+        kind = "repeat" if isinstance(event, FrameRepeat) else "skip"
+        out.extend(out_of_range(f"event.{i}", event, ("at",)))
+        if not 0 <= event.at < scenario.frame_count:
+            out.append(f"event {i}: {kind} start {event.at} outside the stream")
+        elif kind == "skip" and event.at + event.count > scenario.frame_count:
+            out.append(f"event {i}: skip window exceeds the stream")
     return out
 
 

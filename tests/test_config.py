@@ -21,7 +21,10 @@ from htmgrid.config import (
     parse_run_config,
     parse_scenario_config,
 )
-from htmgrid.scenario import FrameRepeat, FrameSkip, LinearLoop, Stationary
+from htmgrid import scenario as scenario_module
+from htmgrid.errors import MAX_COUNT
+from htmgrid.scenario import (FrameRepeat, FrameSkip, LinearLoop, Stationary, emitted_frame_times,
+                              generate)
 
 MINIMAL_RUN = """
 # run configuration
@@ -356,6 +359,50 @@ event.1.at = 60
 event.1.count = 5
 noise.pixel_flip = 0.01
 """
+
+
+@pytest.mark.parametrize("lines, problem", [
+    ("scenario.frame_count = 1" + "0" * 200, r"scenario\.frame_count must be in \[1, 65536\]"),
+    ("scenario.frame_size = 10000000000x10000000000",
+     r"scenario\.frame_size sides must be in \[1, 65536\], got 10000000000x10000000000"),
+    (f"scenario.class_count = {10**12}", r"scenario\.class_count must be in \[1, 65536\]"),
+    ("object.0.shape = 70000x6", r"object\.0\.shape sides must be in \[1, 65536\]"),
+    ("event.0.duration = 65537", r"event\.0\.duration must be in \[1, 65536\], got 65537"),
+    ("event.0.at = 65537", r"event\.0\.at must be in \[0, 65536\], got 65537"),
+    ("event.1.count = 0", r"event\.1\.count must be in \[1, 65536\], got 0"),
+], ids=["frame-count", "frame-size", "class-count", "shape", "duration", "at", "count"])
+def test_scenario_sizes_past_the_count_bound_are_config_errors(lines, problem):
+    # Each one raised numpy's ValueError or MemoryError, or never ended, before the bound.
+    key = lines.partition("=")[0]
+    text = "\n".join(line for line in SCENARIO_TEXT.splitlines() if not line.startswith(key))
+    with pytest.raises(ConfigError, match=problem):
+        generate(parse_scenario_config(f"{text}\n{lines}\n"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_scenario_text_raises_only_config_error(data):
+    # Swapped values and dropped or duplicated lines make a valid scenario or a
+    # ConfigError.  Accepted scenarios are not rendered: their frame times are.
+    lines = SCENARIO_TEXT.strip().splitlines()
+    for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+        if not lines:
+            break
+        at = data.draw(st.integers(0, len(lines) - 1), label="line")
+        kind = data.draw(st.sampled_from(["value", "drop", "duplicate"]), label="kind")
+        if kind == "value":
+            lines[at] = f"{lines[at].partition('=')[0]}= {data.draw(_FUZZ_VALUES, label='value')}"
+        elif kind == "drop":
+            del lines[at]
+        else:
+            lines.insert(at, lines[at])
+    try:
+        scenario = parse_scenario_config("\n".join(lines))
+    except ConfigError:
+        return
+    problems = scenario_module._validate(scenario)
+    if not problems:
+        assert len(emitted_frame_times(scenario)) <= 3 * MAX_COUNT
 
 
 def test_scenario_config_parses_fully():
