@@ -84,9 +84,12 @@ def run(run_config: RunConfig) -> RunSummary:
         check_planes(run_config.grid.encoder, first)
         frames = itertools.chain([first], frames)
 
+    # The CSV is written beside its path and moved into place once every frame
+    # is in: a failed run keeps the old file, as a failed save does.
     csv_handle = None
     if run_config.scores_csv:
-        csv_handle = open(run_config.scores_csv, "w", encoding="utf-8")
+        csv_tmp = f"{os.fspath(run_config.scores_csv)}.tmp"
+        csv_handle = open(csv_tmp, "w", encoding="utf-8")
         csv_handle.write(_csv_header(run_config) + "\n")
     if run_config.heatmap_dir:
         os.makedirs(run_config.heatmap_dir, exist_ok=True)
@@ -110,9 +113,14 @@ def run(run_config: RunConfig) -> RunSummary:
                 )
                 name = FRAME_NAME.format(result.frame_index) + ".ppm"
                 write_ppm(os.path.join(run_config.heatmap_dir, name), image)
+        if csv_handle is not None:
+            csv_handle.close()
+            os.replace(csv_tmp, run_config.scores_csv)
     finally:
         if csv_handle is not None:
             csv_handle.close()
+            if os.path.exists(csv_tmp):
+                os.remove(csv_tmp)
 
     if run_config.snapshot_out:
         model.save(run_config.snapshot_out)

@@ -1,10 +1,11 @@
 import filecmp
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from htmgrid import GridModel, SnapshotError, runner, snapshot
+from htmgrid import ContractError, GridModel, SnapshotError, runner, snapshot
 from htmgrid.cli import main
 from htmgrid.config import parse_run_config
 from htmgrid.grid import SNAPSHOT_KIND, SNAPSHOT_VERSION
@@ -74,6 +75,23 @@ def test_run_outputs_and_determinism(tmp_path, stream_dir):
             tmp_path / "a_heat" / name, tmp_path / "b_heat" / name, shallow=False
         )
     assert (tmp_path / "a.snap").read_bytes() == (tmp_path / "b.snap").read_bytes()
+
+
+def test_failed_stream_keeps_the_previous_csv(tmp_path, stream_dir):
+    # Frame 30's PBM loses its payload, so the run fails part way through.
+    broken = tmp_path / "stream"
+    shutil.copytree(stream_dir, broken)
+    frame = broken / "0" / "00000030.pbm"
+    frame.write_bytes(frame.read_bytes()[:-20])
+    csv = tmp_path / "scores.csv"
+    csv.write_text("frame,aggregate\n0,0.5\n", encoding="utf-8")
+    before = csv.read_bytes()
+    config = parse_run_config(f"input = {broken}\nencoder.frame_size = 36x36\n"
+                              f"output.scores_csv = {csv}\noutput.per_cell = true\n")
+    with pytest.raises(ContractError, match="truncated"):
+        runner.run(config)
+    assert csv.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["scores.csv", "stream"]
 
 
 def test_run_with_calibration_discards_rows(tmp_path, stream_dir):
