@@ -116,7 +116,8 @@ def _sides(what: str, size) -> list[str]:
 
 
 def _validate(scenario: Scenario) -> list[str]:
-    """The scenario's problems; every count is bounded, so none sizes a runaway allocation."""
+    """The scenario's problems: each count must lie in [1, ``MAX_COUNT``], an event's ``at``
+    in [0, ``MAX_COUNT``]."""
     out = _sides("scenario.frame_size", scenario.frame_size) + out_of_range("scenario", scenario)
     rows, cols = scenario.frame_size
     if scenario.seed < 0:
