@@ -8,11 +8,12 @@ reports them together, so a bad file fails once with the full list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import get_type_hints
 
 from .aggregation import AggregationKind
 from .errors import ConfigError
+from .encoder import EncoderConfig
 from .grid import CellOverride, GridConfig, build_grid_config
 from .scenario import (
     FrameRepeat,
@@ -79,17 +80,18 @@ class _Reader:
         self.raw = dict(raw)
         self.errors: list[str] = []
 
-    def take(self, key, parse, default=None, required=False):
+    def take(self, key, parse, required=False):
+        """``parse`` of the key's value, or None where it is absent or unparsable."""
         if key not in self.raw:
             if required:
                 self.errors.append(f"missing required key {key!r}")
-            return default
+            return None
         value = self.raw.pop(key)
         try:
             return parse(value)
         except (ValueError, TypeError) as exc:
             self.errors.append(f"key {key!r}: {exc}")
-            return default
+            return None
 
     def finish(self, what: str) -> None:
         for key in sorted(self.raw):
@@ -133,6 +135,41 @@ def _parse_aggregation(value: str) -> AggregationKind:
     raise ValueError(f"expected one of {names}, got {value!r}")
 
 
+# A file value parses by its field's type hint; a field of any other type (a nested
+# config, a tuple of objects) is no key.
+_PARSERS = {bool: _parse_bool, int: int, float: float, str: str, str | None: str,
+            AggregationKind: _parse_aggregation, tuple[int, int]: _parse_pair,
+            tuple[tuple[int, int], ...]: _parse_positions}
+# The ROWSxCOLS fields, whose hint a ROW,COL pair shares.
+_SIZES = ("frame_size", "cell_size", "shape")
+
+# The classes an ``object.<i>.path`` and an ``event.<i>.kind`` name.
+_PATHS = {"loop": LinearLoop, "stationary": Stationary, "scripted": Scripted}
+_EVENTS = {"repeat": FrameRepeat, "skip": FrameSkip}
+
+
+def _take(reader: _Reader, cls, prefix: str, names=None, keys=None) -> dict:
+    """The ``<prefix><field>`` values of the dataclass ``cls``'s fields, by field name.
+
+    ``names`` picks the fields, and ``keys`` gives a field a key other than its
+    name.  An absent or unparsable key is left out, so that its field keeps the
+    dataclass default; a field with no default is a required key, unless
+    ``names`` picks the fields.
+    """
+    types = get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        parse = _parse_size if f.name in _SIZES else _PARSERS.get(types[f.name])
+        if parse is None or (names is not None and f.name not in names):
+            continue
+        required = names is None and f.default is MISSING and f.default_factory is MISSING
+        key = prefix + (keys or {}).get(f.name, f.name)
+        value = reader.take(key, parse, required=required)
+        if value is not None:
+            out[f.name] = value
+    return out
+
+
 def _take_params(reader: _Reader, params_cls, prefix: str, seed: bool = False) -> dict:
     """Take ``prefix.<field>`` keys for the fields of ``params_cls`` a file may set.
 
@@ -140,95 +177,46 @@ def _take_params(reader: _Reader, params_cls, prefix: str, seed: bool = False) -
     is true.
     """
     skip = (_WIRED[params_cls], None if seed else "seed")
-    types = get_type_hints(params_cls)
-    out = {}
-    for f in fields(params_cls):
-        if f.name in skip:
-            continue
-        parse = _parse_bool if types[f.name] is bool else types[f.name]
-        value = reader.take(f"{prefix}.{f.name}", parse)
-        if value is not None:
-            out[f.name] = value
-    return out
+    return _take(reader, params_cls, f"{prefix}.",
+                 [f.name for f in fields(params_cls) if f.name not in skip])
+
+
+def _take_indexed(reader: _Reader, section: str, kind_key: str, kinds: dict):
+    """Per ``<section>.<i>.`` prefix while such keys remain, i = 0, 1, ...: the prefix,
+    and the ``kinds`` class its ``kind_key`` names built from its keys, or None
+    where a key is missing or bad."""
+    index = 0
+    while any(key.startswith(f"{section}.{index}.") for key in reader.raw):
+        prefix = f"{section}.{index}."
+        kind = reader.take(prefix + kind_key, str, required=True)
+        item = None
+        if kind in kinds:
+            values = _take(reader, kinds[kind], prefix)
+            if len(values) == len(fields(kinds[kind])):
+                item = kinds[kind](**values)
+        elif kind is not None:
+            *rest, last = kinds
+            reader.errors.append(
+                f"{prefix}{kind_key}: expected {', '.join(rest)} or {last}, got {kind!r}"
+            )
+        yield prefix, item
+        index += 1
 
 
 def parse_scenario_config(text: str, overrides=None) -> Scenario:
     reader = _Reader(apply_overrides(parse_kv_text(text), overrides))
-    frame_size = reader.take("scenario.frame_size", _parse_size, required=True)
-    frame_count = reader.take("scenario.frame_count", int, required=True)
-    class_count = reader.take("scenario.class_count", int, default=1)
-    seed = reader.take("scenario.seed", int, default=0)
-    noise = NoiseSpec(
-        pixel_flip_probability=reader.take("noise.pixel_flip", float, default=0.0),
-        object_dropout_probability=reader.take(
-            "noise.object_dropout", float, default=0.0
-        ),
-    )
-
+    scenario = _take(reader, Scenario, "scenario.")
+    noise = _take(reader, NoiseSpec, "noise.", keys={
+        "pixel_flip_probability": "pixel_flip", "object_dropout_probability": "object_dropout"})
     objects = []
-    index = 0
-    while any(key.startswith(f"object.{index}.") for key in reader.raw):
-        prefix = f"object.{index}"
-        shape = reader.take(f"{prefix}.shape", _parse_size, required=True)
-        class_index = reader.take(f"{prefix}.class", int, default=0)
-        kind = reader.take(f"{prefix}.path", str, required=True)
-        path = None
-        if kind == "loop":
-            start = reader.take(f"{prefix}.start", _parse_pair, required=True)
-            velocity = reader.take(f"{prefix}.velocity", _parse_pair, required=True)
-            if start is not None and velocity is not None:
-                path = LinearLoop(start=start, velocity=velocity)
-        elif kind == "stationary":
-            position = reader.take(f"{prefix}.position", _parse_pair, required=True)
-            if position is not None:
-                path = Stationary(position=position)
-        elif kind == "scripted":
-            positions = reader.take(
-                f"{prefix}.positions", _parse_positions, required=True
-            )
-            if positions is not None:
-                path = Scripted(positions=positions)
-        elif kind is not None:
-            reader.errors.append(
-                f"object.{index}.path: expected loop, stationary or scripted, "
-                f"got {kind!r}"
-            )
-        if path is not None and shape is not None:
-            objects.append(
-                ObjectTrack(shape=shape, path=path, class_index=class_index or 0)
-            )
-        index += 1
-
-    events = []
-    index = 0
-    while any(key.startswith(f"event.{index}.") for key in reader.raw):
-        prefix = f"event.{index}"
-        kind = reader.take(f"{prefix}.kind", str, required=True)
-        at = reader.take(f"{prefix}.at", int, required=True)
-        if kind == "repeat":
-            duration = reader.take(f"{prefix}.duration", int, required=True)
-            if at is not None and duration is not None:
-                events.append(FrameRepeat(at=at, duration=duration))
-        elif kind == "skip":
-            count = reader.take(f"{prefix}.count", int, required=True)
-            if at is not None and count is not None:
-                events.append(FrameSkip(at=at, count=count))
-        elif kind is not None:
-            reader.errors.append(
-                f"event.{index}.kind: expected repeat or skip, got {kind!r}"
-            )
-        index += 1
-
+    for prefix, path in _take_indexed(reader, "object", "path", _PATHS):
+        track = _take(reader, ObjectTrack, prefix, keys={"class_index": "class"})
+        if path is not None and "shape" in track:
+            objects.append(ObjectTrack(path=path, **track))
+    events = [event for _, event in _take_indexed(reader, "event", "kind", _EVENTS) if event]
     reader.finish("scenario")
-    return Scenario(
-        frame_size=frame_size,
-        frame_count=frame_count,
-        objects=tuple(objects),
-        events=tuple(events),
-        noise=noise,
-        seed=seed,
-        class_count=class_count,
-    )
+    return Scenario(objects=tuple(objects), events=tuple(events), noise=NoiseSpec(**noise),
+                    **scenario)
 
 
 def _cell_overrides(reader: _Reader, grid: GridConfig) -> dict:
@@ -263,74 +251,34 @@ def _cell_overrides(reader: _Reader, grid: GridConfig) -> dict:
 
 def build_run_config(raw: dict[str, str]) -> RunConfig:
     reader = _Reader(raw)
-    input_path = reader.take("input", str, required=True)
-    learn = reader.take("learn", _parse_bool, default=True)
-    calibration = reader.take("calibration_frames", int, default=0)
-    workers = reader.take("workers", int, default=1)
-    resume = reader.take("resume", str)
-    scores_csv = reader.take("output.scores_csv", str)
-    per_cell = reader.take("output.per_cell", _parse_bool, default=False)
-    heatmap_dir = reader.take("output.heatmap_dir", str)
-    snapshot_out = reader.take("output.snapshot", str)
-
-    aggregation = reader.take(
-        "aggregation", _parse_aggregation, default=AggregationKind.MEAN
-    )
-    smoothing_window = reader.take("smoothing_window", int, default=200)
-
-    frame_size = reader.take("encoder.frame_size", _parse_size, required=True)
-    cell_size = reader.take("encoder.cell_size", _parse_size, default=(12, 12))
-    class_count = reader.take("encoder.class_count", int, default=1)
-    min_sparsity = reader.take("encoder.min_sparsity", int, default=5)
-    empty_sparsity = reader.take("encoder.empty_pattern_sparsity", int, default=5)
-    encoder_seed = reader.take("encoder.seed", int, default=0)
-
-    grid_seed = reader.take("grid.seed", int, default=0)
-    multistep_n = reader.take("grid.multistep_n", int, default=2)
-    suppression = reader.take("grid.suppression_enabled", _parse_bool, default=True)
-
+    run = _take(reader, RunConfig, "", keys={
+        "scores_csv": "output.scores_csv", "per_cell": "output.per_cell",
+        "heatmap_dir": "output.heatmap_dir", "snapshot_out": "output.snapshot"})
+    grid_fields = _take(reader, GridConfig, "", ("aggregation", "smoothing_window"))
+    encoder = _take(reader, EncoderConfig, "encoder.")
+    grid_fields |= _take(reader, GridConfig, "grid.", ("seed", "multistep_n", "suppression_enabled"))
     sp_fields = _take_params(reader, SpParams, "sp")
     tm_fields = _take_params(reader, TmParams, "tm")
 
-    if frame_size is None or cell_size is None:
+    if "frame_size" not in encoder:
         reader.finish("run")
-    grid = build_grid_config(
-        frame_size,
-        cell_size,
-        class_count,
-        multistep_n=multistep_n,
-        seed=grid_seed,
-        suppression_enabled=suppression,
-        aggregation=aggregation,
-        smoothing_window=smoothing_window,
-        min_sparsity=min_sparsity,
-        empty_pattern_sparsity=empty_sparsity,
-        sp_kwargs=sp_fields,
-        tm_kwargs=tm_fields,
-    )
+    # The encoder seed is its own key: the grid seed does not set it.
+    encoder_seed = encoder.pop("seed", EncoderConfig.seed)
+    grid = build_grid_config(**encoder, **grid_fields, sp_kwargs=sp_fields, tm_kwargs=tm_fields)
     grid = replace(
         grid,
         encoder=replace(grid.encoder, seed=encoder_seed),
         per_cell_overrides=_cell_overrides(reader, grid),
     )
     reader.errors.extend(grid.problems())
-    if calibration is not None and calibration < 0:
+    # A missing input is already a listed problem; the other fields are still checked.
+    run = RunConfig(grid=grid, **{"input": None, **run})
+    if run.calibration_frames < 0:
         reader.errors.append("calibration_frames must be >= 0")
-    if workers is not None and workers < 1:
+    if run.workers < 1:
         reader.errors.append("workers must be >= 1")
     reader.finish("run")
-    return RunConfig(
-        input=input_path,
-        grid=grid,
-        learn=learn,
-        calibration_frames=calibration,
-        workers=workers,
-        resume=resume,
-        scores_csv=scores_csv,
-        per_cell=per_cell,
-        heatmap_dir=heatmap_dir,
-        snapshot_out=snapshot_out,
-    )
+    return run
 
 
 def apply_overrides(raw: dict[str, str], overrides) -> dict[str, str]:

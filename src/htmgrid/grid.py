@@ -398,16 +398,16 @@ class GridModel:
 
 def build_grid_config(
     frame_size,
-    cell_size=(12, 12),
-    class_count: int = 1,
+    cell_size=EncoderConfig.cell_size,
+    class_count: int = EncoderConfig.class_count,
     *,
-    multistep_n: int = 2,
-    seed: int = 0,
-    suppression_enabled: bool = True,
-    aggregation: AggregationKind = AggregationKind.MEAN,
-    smoothing_window: int = 200,
-    min_sparsity: int = 5,
-    empty_pattern_sparsity: int = 5,
+    multistep_n: int = GridConfig.multistep_n,
+    seed: int = GridConfig.seed,
+    suppression_enabled: bool = GridConfig.suppression_enabled,
+    aggregation: AggregationKind = GridConfig.aggregation,
+    smoothing_window: int = GridConfig.smoothing_window,
+    min_sparsity: int = EncoderConfig.min_sparsity,
+    empty_pattern_sparsity: int = EncoderConfig.empty_pattern_sparsity,
     sp_columns: int = 128,
     sp_active: int = 8,
     sp_kwargs: dict | None = None,
