@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import shutil
 from dataclasses import dataclass, replace
 
 from .config import RunConfig, parse_scenario_config
@@ -84,15 +85,18 @@ def run(run_config: RunConfig) -> RunSummary:
         check_planes(run_config.grid.encoder, first)
         frames = itertools.chain([first], frames)
 
-    # The CSV is written beside its path and moved into place once every frame
-    # is in: a failed run keeps the old file, as a failed save does.
+    # The CSV and the heatmaps are written beside their paths and moved into
+    # place once every frame is in: a failed run keeps the old files, as a
+    # failed save does, and leaves none of its own.
     csv_handle = None
     if run_config.scores_csv:
         csv_tmp = f"{os.fspath(run_config.scores_csv)}.tmp"
         csv_handle = open(csv_tmp, "w", encoding="utf-8")
         csv_handle.write(_csv_header(run_config) + "\n")
     if run_config.heatmap_dir:
-        os.makedirs(run_config.heatmap_dir, exist_ok=True)
+        heat_tmp = f"{os.fspath(run_config.heatmap_dir)}.tmp"
+        shutil.rmtree(heat_tmp, ignore_errors=True)
+        os.makedirs(heat_tmp)
 
     rows = 0
     processed = 0
@@ -112,15 +116,22 @@ def run(run_config: RunConfig) -> RunSummary:
                     result.reported_scores, run_config.grid.encoder.cell_size
                 )
                 name = FRAME_NAME.format(result.frame_index) + ".ppm"
-                write_ppm(os.path.join(run_config.heatmap_dir, name), image)
+                write_ppm(os.path.join(heat_tmp, name), image)
         if csv_handle is not None:
             csv_handle.close()
             os.replace(csv_tmp, run_config.scores_csv)
+        if run_config.heatmap_dir:
+            os.makedirs(run_config.heatmap_dir, exist_ok=True)
+            for name in os.listdir(heat_tmp):
+                os.replace(os.path.join(heat_tmp, name),
+                           os.path.join(run_config.heatmap_dir, name))
     finally:
         if csv_handle is not None:
             csv_handle.close()
             if os.path.exists(csv_tmp):
                 os.remove(csv_tmp)
+        if run_config.heatmap_dir:
+            shutil.rmtree(heat_tmp, ignore_errors=True)
 
     if run_config.snapshot_out:
         model.save(run_config.snapshot_out)

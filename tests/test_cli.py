@@ -86,12 +86,20 @@ def test_failed_stream_keeps_the_previous_csv(tmp_path, stream_dir):
     csv = tmp_path / "scores.csv"
     csv.write_text("frame,aggregate\n0,0.5\n", encoding="utf-8")
     before = csv.read_bytes()
+    # An older run's heatmap of frame 0, which this run would replace.
+    heat = tmp_path / "heat"
+    heat.mkdir()
+    old_frame = heat / "00000000.ppm"
+    old_frame.write_bytes(b"P6\n1 1\n255\n\x00\xff\x00")
     config = parse_run_config(f"input = {broken}\nencoder.frame_size = 36x36\n"
-                              f"output.scores_csv = {csv}\noutput.per_cell = true\n")
+                              f"output.scores_csv = {csv}\noutput.per_cell = true\n"
+                              f"output.heatmap_dir = {heat}\n")
     with pytest.raises(ContractError, match="truncated"):
         runner.run(config)
     assert csv.read_bytes() == before
-    assert sorted(os.listdir(tmp_path)) == ["scores.csv", "stream"]
+    assert os.listdir(heat) == ["00000000.ppm"]
+    assert old_frame.read_bytes() == b"P6\n1 1\n255\n\x00\xff\x00"
+    assert sorted(os.listdir(tmp_path)) == ["heat", "scores.csv", "stream"]
 
 
 def test_run_with_calibration_discards_rows(tmp_path, stream_dir):
