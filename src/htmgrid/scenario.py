@@ -14,6 +14,7 @@ stream is a pure function of the scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -108,6 +109,11 @@ def object_position(track: ObjectTrack, t: int, frame_size) -> tuple[int, int]:
     return int(r), int(c)
 
 
+# The most pixels a scenario may emit in all (frames x classes x rows x cols): ``generate``
+# keeps every frame, as one uint8 per pixel.
+MAX_PIXELS = 2**30
+
+
 def _sides(what: str, size) -> list[str]:
     """A problem unless both sides of ``size`` lie in [1, ``MAX_COUNT``]."""
     if all(1 <= side <= MAX_COUNT for side in size):
@@ -115,9 +121,22 @@ def _sides(what: str, size) -> list[str]:
     return [f"{what} sides must be in [1, {MAX_COUNT}], got {size[0]}x{size[1]}"]
 
 
+def _emitted_count(scenario: Scenario) -> int:
+    """``len(emitted_frame_times(scenario))`` for a scenario with no problem, counted
+    from the events rather than listed."""
+    skips = sorted((e.at, e.at + e.count) for e in scenario.events if isinstance(e, FrameSkip))
+    skipped = reach = 0
+    for start, stop in skips:  # overlapping windows skip a frame once
+        skipped += max(0, stop - max(start, reach))
+        reach = max(reach, stop)
+    repeated = sum(e.duration - 1 for e in scenario.events if isinstance(e, FrameRepeat)
+                   and not any(start <= e.at < stop for start, stop in skips))
+    return scenario.frame_count - skipped + repeated
+
+
 def _validate(scenario: Scenario) -> list[str]:
     """The scenario's problems: each count must lie in [1, ``MAX_COUNT``], an event's ``at``
-    in [0, ``MAX_COUNT``]."""
+    in [0, ``MAX_COUNT``], and the emitted frames hold at most ``MAX_PIXELS`` pixels."""
     out = _sides("scenario.frame_size", scenario.frame_size) + out_of_range("scenario", scenario)
     rows, cols = scenario.frame_size
     if scenario.seed < 0:
@@ -164,6 +183,11 @@ def _validate(scenario: Scenario) -> list[str]:
             out.append(f"event {i}: {kind} start {event.at} outside the stream")
         elif kind == "skip" and event.at + event.count > scenario.frame_count:
             out.append(f"event {i}: skip window exceeds the stream")
+    if not out:
+        frames = _emitted_count(scenario)
+        if frames * scenario.class_count * rows * cols > MAX_PIXELS:
+            out.append(f"scenario emits {frames} frames of {scenario.class_count} "
+                       f"{rows}x{cols} planes, more than {MAX_PIXELS} pixels")
     return out
 
 
@@ -215,10 +239,8 @@ def generate(scenario: Scenario) -> list[list[np.ndarray]]:
     problems = _validate(scenario)
     if problems:
         raise ConfigError("; ".join(problems))
-    rendered: dict[int, list[np.ndarray]] = {}
     frames = []
-    for t in emitted_frame_times(scenario):
-        if t not in rendered:
-            rendered[t] = _render_sim_frame(scenario, t)
-        frames.append([plane.copy() for plane in rendered[t]])
+    for t, showings in groupby(emitted_frame_times(scenario)):  # a repeat's are consecutive
+        planes = _render_sim_frame(scenario, t)
+        frames.extend([plane.copy() for plane in planes] for _ in showings)
     return frames

@@ -1,5 +1,6 @@
 import re
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
+from functools import partial
 from typing import get_type_hints
 
 import pytest
@@ -9,12 +10,15 @@ from htmgrid import (
     AggregationKind,
     CellOverride,
     ConfigError,
+    EncoderConfig,
+    GridConfig,
     GridModel,
     SpParams,
     TmParams,
     derive_cell_seeds,
 )
 from htmgrid.config import (
+    RunConfig,
     apply_overrides,
     build_run_config,
     parse_kv_text,
@@ -23,8 +27,8 @@ from htmgrid.config import (
 )
 from htmgrid import scenario as scenario_module
 from htmgrid.errors import MAX_COUNT
-from htmgrid.scenario import (FrameRepeat, FrameSkip, LinearLoop, Stationary, emitted_frame_times,
-                              generate)
+from htmgrid.scenario import (FrameRepeat, FrameSkip, LinearLoop, NoiseSpec, ObjectTrack, Scenario,
+                              Scripted, Stationary, emitted_frame_times, generate)
 
 MINIMAL_RUN = """
 # run configuration
@@ -205,6 +209,132 @@ def test_parameter_keys_are_the_dataclass_fields():
             parse_run_config(MINIMAL_RUN + f"{key} = 1\n")
 
 
+# The fields no key sets: they are built from other keys.
+NOT_KEYS = {
+    RunConfig: {"grid"},
+    GridConfig: {"encoder", "default_sp", "default_tm", "per_cell_overrides"},
+    Scenario: {"objects", "events", "noise"},
+    ObjectTrack: {"path"},
+}
+
+# Per section: each key's dataclass and field, a value other than the field's default,
+# and that value parsed.
+RUN_KEYS = {
+    "input": (RunConfig, "input", "stream", "stream"),
+    "learn": (RunConfig, "learn", "false", False),
+    "calibration_frames": (RunConfig, "calibration_frames", "7", 7),
+    "workers": (RunConfig, "workers", "3", 3),
+    "resume": (RunConfig, "resume", "old.snap", "old.snap"),
+    "output.scores_csv": (RunConfig, "scores_csv", "s.csv", "s.csv"),
+    "output.per_cell": (RunConfig, "per_cell", "true", True),
+    "output.heatmap_dir": (RunConfig, "heatmap_dir", "heat", "heat"),
+    "output.snapshot": (RunConfig, "snapshot_out", "m.snap", "m.snap"),
+    "encoder.frame_size": (EncoderConfig, "frame_size", "48x48", (48, 48)),
+    "encoder.cell_size": (EncoderConfig, "cell_size", "8x6", (8, 6)),
+    "encoder.class_count": (EncoderConfig, "class_count", "2", 2),
+    "encoder.min_sparsity": (EncoderConfig, "min_sparsity", "3", 3),
+    "encoder.empty_pattern_sparsity": (EncoderConfig, "empty_pattern_sparsity", "4", 4),
+    "encoder.seed": (EncoderConfig, "seed", "9", 9),
+    "aggregation": (GridConfig, "aggregation", "nonzero_mean", AggregationKind.NONZERO_MEAN),
+    "smoothing_window": (GridConfig, "smoothing_window", "50", 50),
+    "grid.seed": (GridConfig, "seed", "2", 2),
+    "grid.multistep_n": (GridConfig, "multistep_n", "3", 3),
+    "grid.suppression_enabled": (GridConfig, "suppression_enabled", "false", False),
+}
+SCENARIO_KEYS = {
+    "scenario.frame_size": (Scenario, "frame_size", "30x40", (30, 40)),
+    "scenario.frame_count": (Scenario, "frame_count", "12", 12),
+    "scenario.class_count": (Scenario, "class_count", "3", 3),
+    "scenario.seed": (Scenario, "seed", "5", 5),
+    "noise.pixel_flip": (NoiseSpec, "pixel_flip_probability", "0.25", 0.25),
+    "noise.object_dropout": (NoiseSpec, "object_dropout_probability", "0.5", 0.5),
+}
+TRACK_KEYS = {
+    "object.0.shape": (ObjectTrack, "shape", "3x4", (3, 4)),
+    "object.0.class": (ObjectTrack, "class_index", "1", 1),
+}
+PATH_KEYS = {
+    "loop": (LinearLoop, {"object.0.start": (LinearLoop, "start", "1,2", (1, 2)),
+                          "object.0.velocity": (LinearLoop, "velocity", "0,-1", (0, -1))}),
+    "stationary": (Stationary, {"object.0.position": (Stationary, "position", "5,6", (5, 6))}),
+    "scripted": (Scripted, {"object.0.positions": (Scripted, "positions", "1,1;2,3",
+                                                   ((1, 1), (2, 3)))}),
+}
+EVENT_KEYS = {
+    "repeat": (FrameRepeat, {"event.0.at": (FrameRepeat, "at", "3", 3),
+                             "event.0.duration": (FrameRepeat, "duration", "4", 4)}),
+    "skip": (FrameSkip, {"event.0.at": (FrameSkip, "at", "2", 2),
+                         "event.0.count": (FrameSkip, "count", "5", 5)}),
+}
+STREAM = "scenario.frame_size = 30x40\nscenario.frame_count = 12\n"
+
+
+def _part(values, cls):
+    return {name: value for (owner, name), value in values.items() if owner is cls}
+
+
+def _built_run(values):
+    encoder = EncoderConfig(**_part(values, EncoderConfig))
+    grid = _part(values, GridConfig)
+    sp = SpParams(input_width=encoder.cell_bits * encoder.class_count, column_count=128,
+                  active_columns=8)
+    tm = TmParams(column_count=128 * grid.get("multistep_n", GridConfig.multistep_n))
+    return RunConfig(grid=GridConfig(encoder, sp, tm, **grid), **_part(values, RunConfig))
+
+
+def _built_scenario(values):
+    return Scenario(noise=NoiseSpec(**_part(values, NoiseSpec)), **_part(values, Scenario))
+
+
+def _built_object(path_cls, values):
+    track = ObjectTrack(path=path_cls(**_part(values, path_cls)), **_part(values, ObjectTrack))
+    return Scenario(frame_size=(30, 40), frame_count=12, objects=(track,))
+
+
+def _built_event(event_cls, values):
+    return Scenario(frame_size=(30, 40), frame_count=12,
+                    events=(event_cls(**_part(values, event_cls)),))
+
+
+SECTIONS = {
+    "run": (parse_run_config, "", RUN_KEYS, _built_run),
+    "scenario": (parse_scenario_config, "", SCENARIO_KEYS, _built_scenario),
+    **{f"object-{kind}": (parse_scenario_config, f"{STREAM}object.0.path = {kind}\n",
+                          {**TRACK_KEYS, **keys}, partial(_built_object, cls))
+       for kind, (cls, keys) in PATH_KEYS.items()},
+    **{f"event-{kind}": (parse_scenario_config, f"{STREAM}event.0.kind = {kind}\n", keys,
+                         partial(_built_event, cls))
+       for kind, (cls, keys) in EVENT_KEYS.items()},
+}
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_every_field_has_exactly_one_key(section):
+    parse, base, keys, build = SECTIONS[section]
+    for cls in {cls for cls, *_ in keys.values()}:
+        keyed = sorted(name for owner, name, *_ in keys.values() if owner is cls)
+        assert keyed == sorted(f.name for f in fields(cls) if f.name not in NOT_KEYS.get(cls, ()))
+    values = {(cls, name): value for cls, name, _, value in keys.values()}
+    lines = {key: f"{key} = {text}\n" for key, (_, _, text, _) in keys.items()}
+    assert parse(base + "".join(lines.values())) == build(values)
+    # Each key dropped in turn: its field reads the dataclass default, or it is required.
+    for key, (cls, name, _, value) in keys.items():
+        text = base + "".join(line for other, line in lines.items() if other != key)
+        default = next(f.default for f in fields(cls) if f.name == name)
+        if default is MISSING:
+            with pytest.raises(ConfigError, match=f"^missing required key '{re.escape(key)}'$"):
+                parse(text)
+        else:
+            assert value != default
+            assert parse(text) == build({k: v for k, v in values.items() if k != (cls, name)})
+
+
+def test_grid_seed_does_not_set_the_encoder_seed():
+    # The golden trace's encoder seed is 0 under a nonzero grid seed.
+    run = parse_run_config(MINIMAL_RUN + "grid.seed = 7\n")
+    assert (run.grid.seed, run.grid.encoder.seed) == (7, 0)
+
+
 FLOAT_KEYS = [
     (prefix, f.name)
     for prefix, cls in (("sp", SpParams), ("tm", TmParams))
@@ -370,9 +500,14 @@ noise.pixel_flip = 0.01
     ("event.0.duration = 65537", r"event\.0\.duration must be in \[1, 65536\], got 65537"),
     ("event.0.at = 65537", r"event\.0\.at must be in \[0, 65536\], got 65537"),
     ("event.1.count = 0", r"event\.1\.count must be in \[1, 65536\], got 0"),
-], ids=["frame-count", "frame-size", "class-count", "shape", "duration", "at", "count"])
-def test_scenario_sizes_past_the_count_bound_are_config_errors(lines, problem):
+    ("scenario.frame_size = 65536x65536",
+     r"scenario emits 104 frames of 1 65536x65536 planes, more than 1073741824 pixels"),
+], ids=["frame-count", "frame-size", "class-count", "shape", "duration", "at", "count",
+        "pixels"])
+def test_scenario_sizes_past_the_count_bound_are_config_errors(lines, problem, monkeypatch):
     # Each one raised numpy's ValueError or MemoryError, or never ended, before the bound.
+    # Nothing is rendered: the problems are listed first.
+    monkeypatch.setattr(scenario_module, "_render_sim_frame", None)
     key = lines.partition("=")[0]
     text = "\n".join(line for line in SCENARIO_TEXT.splitlines() if not line.startswith(key))
     with pytest.raises(ConfigError, match=problem):

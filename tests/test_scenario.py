@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from htmgrid import (
     ConfigError,
@@ -15,6 +16,7 @@ from htmgrid import (
     generate,
     object_position,
 )
+from htmgrid.scenario import _emitted_count
 
 
 def test_empty_scene_is_all_zero():
@@ -150,3 +152,16 @@ def test_validation_reports_all_problems():
     assert "object 1" in message
     assert "event 0" in message
     assert "event 1" in message
+
+
+_EVENTS = st.one_of(
+    st.builds(FrameRepeat, at=st.integers(0, 19), duration=st.integers(1, 5)),
+    st.builds(FrameSkip, at=st.integers(0, 15), count=st.integers(1, 5)),
+)
+
+
+@given(st.lists(_EVENTS, max_size=6))
+def test_emitted_count_is_the_number_of_frame_times(events):
+    # Overlapping skips, repeats inside a skip and repeats of one frame included.
+    scenario = Scenario(frame_size=(4, 4), frame_count=20, events=tuple(events))
+    assert _emitted_count(scenario) == len(emitted_frame_times(scenario))
