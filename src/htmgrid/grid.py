@@ -26,7 +26,6 @@ group through the same constructor, a load with the snapshot's arrays.
 from __future__ import annotations
 
 import json
-import os
 from collections import deque, namedtuple
 from dataclasses import dataclass, field, is_dataclass, replace
 from itertools import groupby
@@ -37,6 +36,7 @@ import numpy as np
 from .aggregation import AggregationKind, aggregate
 from .encoder import EncoderConfig, encode_frame
 from .errors import SnapshotError, Validated, loaded, out_of_range
+from .imageio import staged
 from .sdr import concatenate  # unused here; perfbench's traced spans rebind it
 from .spatial_pooler import SpParams, SpatialPooler
 from .temporal_memory import TmParams, TemporalMemory
@@ -381,14 +381,8 @@ class GridModel:
 
     def save(self, path) -> None:
         """Write beside ``path``, then move into place: a failed save keeps the old file."""
-        data, tmp = self.to_bytes(), f"{os.fspath(path)}.tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+        with staged() as beside, open(beside(path), "xb") as fh:
+            fh.write(self.to_bytes())
 
     @classmethod
     def load(cls, path) -> "GridModel":

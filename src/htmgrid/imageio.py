@@ -1,4 +1,4 @@
-"""Binary image formats and heatmap rendering.
+"""Binary image formats, heatmap rendering, and the staged commit of output files.
 
 Masks travel as binary PBM (P4) files, one per frame per class, laid out as
 ``<class index>/<frame index, 8 digits>.pbm`` under the stream directory.
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import os
 import re
+from contextlib import contextmanager, suppress
+from uuid import uuid4
 
 import numpy as np
 
@@ -28,6 +30,27 @@ __all__ = [
 ]
 
 FRAME_NAME = "{:08d}"
+
+
+@contextmanager
+def staged():
+    """Yield ``beside(path)``, a new, unique name next to ``path``.  A clean exit moves each
+    named file onto its path in the order named; a raise removes those not yet moved."""
+    names = []
+
+    def beside(path):
+        names.append((f"{os.fspath(path)}.{uuid4().hex}.tmp", path))
+        return names[-1][0]
+
+    try:
+        yield beside
+        for name, path in names:
+            os.replace(name, path)
+    except BaseException:
+        for name, _ in names:
+            with suppress(FileNotFoundError):
+                os.remove(name)
+        raise
 
 
 def _read_header(data: bytes, magic: bytes):
@@ -126,19 +149,20 @@ def heatmap_image(reported_scores, cell_size) -> np.ndarray:
 
 
 def write_mask_sequence(directory, frames) -> None:
-    """Write frames (lists of class planes) into the stream directory layout."""
+    """Write frames (lists of class planes) into the stream directory layout, all or none."""
     frames = list(frames)
     if not frames:
         raise ContractError("cannot write an empty mask sequence")
     class_count = len(frames[0])
     for k in range(class_count):
         os.makedirs(os.path.join(directory, str(k)), exist_ok=True)
-    for i, planes in enumerate(frames):
-        if len(planes) != class_count:
-            raise ContractError(f"frame {i} has {len(planes)} planes, expected {class_count}")
-        for k, plane in enumerate(planes):
-            name = FRAME_NAME.format(i) + ".pbm"
-            write_pbm(os.path.join(directory, str(k), name), plane)
+    with staged() as beside:
+        for i, planes in enumerate(frames):
+            if len(planes) != class_count:
+                raise ContractError(f"frame {i} has {len(planes)} planes, expected {class_count}")
+            for k, plane in enumerate(planes):
+                name = FRAME_NAME.format(i) + ".pbm"
+                write_pbm(beside(os.path.join(directory, str(k), name)), plane)
 
 
 def mask_sequence_info(directory) -> tuple[int, int]:

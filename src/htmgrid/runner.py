@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import itertools
 import os
-import shutil
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
 from .config import RunConfig, parse_scenario_config
 from .encoder import check_planes
 from .errors import ConfigError
 from .grid import GridModel
-from .imageio import FRAME_NAME, heatmap_image, read_mask_sequence, write_ppm
+from .imageio import FRAME_NAME, heatmap_image, read_mask_sequence, staged, write_ppm
 from .scenario import generate
 
 __all__ = ["RunSummary", "open_stream", "run"]
@@ -85,27 +85,23 @@ def run(run_config: RunConfig) -> RunSummary:
         check_planes(run_config.grid.encoder, first)
         frames = itertools.chain([first], frames)
 
-    # The CSV and the heatmaps are written beside their paths and moved into
-    # place once every frame is in: a failed run keeps the old files, as a
-    # failed save does, and leaves none of its own.
-    csv_handle = None
-    if run_config.scores_csv:
-        csv_tmp = f"{os.fspath(run_config.scores_csv)}.tmp"
-        csv_handle = open(csv_tmp, "w", encoding="utf-8")
-        csv_handle.write(_csv_header(run_config) + "\n")
-    if run_config.heatmap_dir:
-        heat_tmp = f"{os.fspath(run_config.heatmap_dir)}.tmp"
-        shutil.rmtree(heat_tmp, ignore_errors=True)
-        os.makedirs(heat_tmp)
-
+    # Every output is written beside its path and committed after the last
+    # frame: the snapshot first, then the CSV, then the heatmaps.  A failed run
+    # keeps the old files and leaves none of its own.
     rows = 0
     processed = 0
-    try:
-        for idx, planes in enumerate(frames):
-            calibrating = idx < run_config.calibration_frames
+    with staged() as beside, ExitStack() as csv_closer:
+        csv_handle = None
+        if run_config.scores_csv:
+            csv_handle = csv_closer.enter_context(
+                open(beside(run_config.scores_csv), "x", encoding="utf-8"))
+            csv_handle.write(_csv_header(run_config) + "\n")
+        if run_config.heatmap_dir:
+            os.makedirs(run_config.heatmap_dir, exist_ok=True)
+        for processed, planes in enumerate(frames, 1):
+            calibrating = processed <= run_config.calibration_frames
             learn = True if calibrating else run_config.learn
             result = model.step(planes, learn=learn, workers=run_config.workers)
-            processed += 1
             if calibrating:
                 continue
             if csv_handle is not None:
@@ -116,23 +112,8 @@ def run(run_config: RunConfig) -> RunSummary:
                     result.reported_scores, run_config.grid.encoder.cell_size
                 )
                 name = FRAME_NAME.format(result.frame_index) + ".ppm"
-                write_ppm(os.path.join(heat_tmp, name), image)
-        if csv_handle is not None:
-            csv_handle.close()
-            os.replace(csv_tmp, run_config.scores_csv)
-        if run_config.heatmap_dir:
-            os.makedirs(run_config.heatmap_dir, exist_ok=True)
-            for name in os.listdir(heat_tmp):
-                os.replace(os.path.join(heat_tmp, name),
-                           os.path.join(run_config.heatmap_dir, name))
-    finally:
-        if csv_handle is not None:
-            csv_handle.close()
-            if os.path.exists(csv_tmp):
-                os.remove(csv_tmp)
-        if run_config.heatmap_dir:
-            shutil.rmtree(heat_tmp, ignore_errors=True)
-
-    if run_config.snapshot_out:
-        model.save(run_config.snapshot_out)
+                write_ppm(beside(os.path.join(run_config.heatmap_dir, name)), image)
+        csv_closer.close()  # the CSV is whole before anything commits
+        if run_config.snapshot_out:
+            model.save(run_config.snapshot_out)
     return RunSummary(frames_processed=processed, rows_written=rows, model=model)

@@ -1,6 +1,7 @@
 import filecmp
 import os
 import shutil
+import stat
 
 import numpy as np
 import pytest
@@ -58,10 +59,24 @@ def test_generate_writes_stream_layout(stream_dir):
 
 
 def test_run_outputs_and_determinism(tmp_path, stream_dir):
+    # Files of the user's under the names older versions staged outputs under.
+    users = {"a.csv.tmp": b"mine\n", "a_heat.tmp/notes.txt": b"keep\n", "a.snap.tmp": b"\x00"}
+    (tmp_path / "a_heat.tmp").mkdir()
+    for name, data in users.items():
+        (tmp_path / name).write_bytes(data)
     config_a = write(tmp_path / "a.cfg", run_config_text(stream_dir, tmp_path / "a"))
     config_b = write(tmp_path / "b.cfg", run_config_text(stream_dir, tmp_path / "b"))
     assert main(["run", config_a]) == 0
     assert main(["run", config_b]) == 0
+    for name, data in users.items():
+        assert (tmp_path / name).read_bytes() == data
+    assert os.listdir(tmp_path / "a_heat.tmp") == ["notes.txt"]
+    # The outputs have the mode a plain open gives, not a temporary file's 0600.
+    with open(tmp_path / "plain", "w", encoding="utf-8"):
+        pass
+    mode = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+    for name in ("a.csv", "a.snap", "a_heat/00000000.ppm"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
 
     csv_a = (tmp_path / "a.csv").read_text().splitlines()
     assert csv_a[0].startswith("frame,aggregate,aggregate_smoothed,cell_r0_c0")
@@ -91,15 +106,21 @@ def test_failed_stream_keeps_the_previous_csv(tmp_path, stream_dir):
     heat.mkdir()
     old_frame = heat / "00000000.ppm"
     old_frame.write_bytes(b"P6\n1 1\n255\n\x00\xff\x00")
-    config = parse_run_config(f"input = {broken}\nencoder.frame_size = 36x36\n"
-                              f"output.scores_csv = {csv}\noutput.per_cell = true\n"
-                              f"output.heatmap_dir = {heat}\n")
-    with pytest.raises(ContractError, match="truncated"):
-        runner.run(config)
-    assert csv.read_bytes() == before
-    assert os.listdir(heat) == ["00000000.ppm"]
-    assert old_frame.read_bytes() == b"P6\n1 1\n255\n\x00\xff\x00"
-    assert sorted(os.listdir(tmp_path)) == ["heat", "scores.csv", "stream"]
+    # The second run reads every frame, but its snapshot's directory is
+    # missing: the snapshot commits first, so no output of the run is kept.
+    failures = [(broken, tmp_path / "model.snap", ContractError),
+                (stream_dir, tmp_path / "missing" / "model.snap", OSError)]
+    for stream, snapshot_out, error in failures:
+        config = parse_run_config(f"input = {stream}\nencoder.frame_size = 36x36\n"
+                                  f"output.scores_csv = {csv}\noutput.per_cell = true\n"
+                                  f"output.heatmap_dir = {heat}\n"
+                                  f"output.snapshot = {snapshot_out}\n")
+        with pytest.raises(error):
+            runner.run(config)
+        assert csv.read_bytes() == before
+        assert os.listdir(heat) == ["00000000.ppm"]
+        assert old_frame.read_bytes() == b"P6\n1 1\n255\n\x00\xff\x00"
+        assert sorted(os.listdir(tmp_path)) == ["heat", "scores.csv", "stream"]
 
 
 def test_run_with_calibration_discards_rows(tmp_path, stream_dir):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from htmgrid.imageio import (
     read_mask_sequence,
     read_pbm,
     read_ppm,
+    staged,
     write_mask_sequence,
     write_pbm,
     write_ppm,
@@ -112,6 +115,38 @@ def test_mask_sequence_round_trip(tmp_path):
     for orig, loaded in zip(frames, back):
         for a, b in zip(orig, loaded):
             assert np.array_equal(a, b)
+
+
+def test_mask_sequence_with_a_bad_frame_writes_no_file(tmp_path):
+    plane = np.zeros((8, 8), dtype=np.uint8)
+    frames = [[plane, plane] for _ in range(5)] + [[plane]]
+    stream = tmp_path / "stream"
+    with pytest.raises(ContractError, match="frame 5 has 1 planes"):
+        write_mask_sequence(stream, frames)
+    assert [path for path in stream.rglob("*") if path.is_file()] == []
+
+
+def test_staged_commits_in_the_order_named_and_removes_the_rest(tmp_path, monkeypatch):
+    paths = [tmp_path / name for name in ("a", "b", "c")]
+    for path in paths:
+        path.write_text("old")
+    replace, moved = os.replace, []
+
+    def replace_once(src, dst):
+        if moved:
+            raise OSError("disk full")
+        moved.append(dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_once)
+    with pytest.raises(OSError, match="disk full"):
+        with staged() as beside:
+            for path in paths:
+                with open(beside(path), "x") as fh:
+                    fh.write("new")
+    assert moved == [paths[0]]
+    assert [path.read_text() for path in paths] == ["new", "old", "old"]
+    assert sorted(os.listdir(tmp_path)) == ["a", "b", "c"]
 
 
 def test_mask_sequence_missing_frame_detected(tmp_path):

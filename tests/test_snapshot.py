@@ -596,6 +596,9 @@ def test_overflowing_boost_is_rejected_on_load():
 def test_failed_save_keeps_the_existing_snapshot(tmp_path, monkeypatch, failing):
     model = GridModel(build_grid_config((24, 24), (12, 12)))
     path = tmp_path / "model.snap"
+    # A file of the user's under the name older versions staged a save under.
+    users = tmp_path / "model.snap.tmp"
+    users.write_bytes(b"mine")
     model.save(path)
     before = path.read_bytes()
     model.step([np.ones((24, 24), dtype=np.uint8)])
@@ -610,7 +613,8 @@ def test_failed_save_keeps_the_existing_snapshot(tmp_path, monkeypatch, failing)
     with pytest.raises(MemoryError):
         model.save(path)
     assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["model.snap"]
+    assert users.read_bytes() == b"mine"
+    assert sorted(os.listdir(tmp_path)) == ["model.snap", "model.snap.tmp"]
 
 
 def test_save_replaces_the_existing_snapshot(tmp_path):
