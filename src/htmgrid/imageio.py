@@ -34,8 +34,8 @@ FRAME_NAME = "{:08d}"
 
 @contextmanager
 def staged():
-    """Yield ``beside(path)``, a new, unique name next to ``path``.  A clean exit moves each
-    named file onto its path in the order named; a raise removes those not yet moved."""
+    """Yield ``beside``, which maps a path to a new, unique name next to it.  A clean exit moves
+    each named file onto its path in the order named; a raise removes those not yet moved."""
     names = []
 
     def beside(path):
