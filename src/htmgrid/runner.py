@@ -98,10 +98,11 @@ def run(run_config: RunConfig) -> RunSummary:
             csv_handle.write(_csv_header(run_config) + "\n")
         if run_config.heatmap_dir:
             os.makedirs(run_config.heatmap_dir, exist_ok=True)
-        for processed, planes in enumerate(frames, 1):
-            calibrating = processed <= run_config.calibration_frames
+        for idx, planes in enumerate(frames):
+            calibrating = idx < run_config.calibration_frames
             learn = True if calibrating else run_config.learn
             result = model.step(planes, learn=learn, workers=run_config.workers)
+            processed += 1
             if calibrating:
                 continue
             if csv_handle is not None:

@@ -1,5 +1,6 @@
 import filecmp
 import os
+import re
 import shutil
 import stat
 
@@ -108,19 +109,37 @@ def test_failed_stream_keeps_the_previous_csv(tmp_path, stream_dir):
     old_frame.write_bytes(b"P6\n1 1\n255\n\x00\xff\x00")
     # The second run reads every frame, but its snapshot's directory is
     # missing: the snapshot commits first, so no output of the run is kept.
-    failures = [(broken, tmp_path / "model.snap", ContractError),
-                (stream_dir, tmp_path / "missing" / "model.snap", OSError)]
-    for stream, snapshot_out, error in failures:
+    missing = tmp_path / "missing" / "model.snap"
+    failures = [(broken, tmp_path / "model.snap", ContractError, "truncated"),
+                (stream_dir, missing, FileNotFoundError, re.escape(str(missing)))]
+    for stream, snapshot_out, error, message in failures:
         config = parse_run_config(f"input = {stream}\nencoder.frame_size = 36x36\n"
                                   f"output.scores_csv = {csv}\noutput.per_cell = true\n"
                                   f"output.heatmap_dir = {heat}\n"
                                   f"output.snapshot = {snapshot_out}\n")
-        with pytest.raises(error):
+        with pytest.raises(error, match=message):
             runner.run(config)
         assert csv.read_bytes() == before
         assert os.listdir(heat) == ["00000000.ppm"]
         assert old_frame.read_bytes() == b"P6\n1 1\n255\n\x00\xff\x00"
         assert sorted(os.listdir(tmp_path)) == ["heat", "scores.csv", "stream"]
+
+
+def test_failed_run_leaves_the_heatmap_dir_it_made_empty(tmp_path, stream_dir):
+    # The frames are staged inside heatmap_dir, so a run creates it, and any
+    # missing parent, before its first frame; a failed run keeps it, empty.
+    broken = tmp_path / "stream"
+    shutil.copytree(stream_dir, broken)
+    frame = broken / "0" / "00000030.pbm"
+    frame.write_bytes(frame.read_bytes()[:-20])
+    heat = tmp_path / "out" / "heat"
+    config = parse_run_config(f"input = {broken}\nencoder.frame_size = 36x36\n"
+                              f"output.heatmap_dir = {heat}\n")
+    with pytest.raises(ContractError, match="truncated"):
+        runner.run(config)
+    assert os.listdir(heat) == []
+    assert sorted(os.listdir(tmp_path)) == ["out", "stream"]
+    assert os.listdir(tmp_path / "out") == ["heat"]
 
 
 def test_run_with_calibration_discards_rows(tmp_path, stream_dir):
