@@ -62,8 +62,8 @@ def cmd_snapshot_info(args) -> int:
     print(f"multistep_n: {config.multistep_n}")
     print(f"aggregation: {config.aggregation.value}")
     print(f"frames_processed: {model.frame_counter}")
-    print(f"sp_columns: {sorted({group.params[0].column_count for _, group, _ in model._poolers})}")
-    print(f"tm_segments_total: {sum(group.segment_count for _, group, _ in model._memories)}")
+    print(f"sp_columns: {sorted({sp.params[0].column_count for _, sp, _, _ in model._groups})}")
+    print(f"tm_segments_total: {sum(tm.segment_count for _, _, tm, _ in model._groups)}")
     return 0
 
 

@@ -4,13 +4,13 @@ Each frame cell runs its own pipeline so activity in one part of the frame
 can never change what counts as normal elsewhere.  Per frame:
 
 1. encode the frame: each cell's class windows laid end to end,
-2. spatial pooling, one batched call per group of cells whose pooler
-   parameters differ only in seed (a cell with its own override is a group
-   of one),
-3. shift each cell's pooled output into a short history ring, oldest row
-   first, and feed the flattened rings to the sequence memories, again one
-   batched call per group of cells whose memory parameters differ only in
-   seed, so "moving" and "standing still" produce different inputs,
+2. spatial pooling, one batched call per cell group: the cells whose
+   pooler and memory parameters differ only in seed (a cell with its own
+   override is a group of one),
+3. shift each cell's pooled output into its group's history rings, oldest
+   row first, and feed the flattened rings to the group's sequence memory,
+   one batched call, so "moving" and "standing still" produce different
+   inputs,
 4. optionally zero the reported score on the frame a cell turns from
    empty to occupied, which is unpredictable by construction.
 
@@ -18,9 +18,10 @@ Cells share no state, so one cell's input never changes another cell's
 scores, even though their poolers and their sequence memories each step as
 one batch.
 
-A snapshot (version 3) holds each group's arrays as they are, as
-``sp<g>.<name>`` and ``tm<g>.<name>``.  ``__init__`` and a load build each
-group through the same constructor, a load with the snapshot's arrays.
+A snapshot (version 3) holds each cell group's arrays as they are, as
+``sp<g>.<name>`` and ``tm<g>.<name>`` of the same group ``g``.  ``__init__``
+and a load build each group through the same constructors, a load with the
+snapshot's arrays.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import json
 from collections import deque, namedtuple
 from dataclasses import dataclass, field, is_dataclass, replace
-from itertools import groupby
 from typing import get_type_hints
 
 import numpy as np
@@ -184,23 +184,6 @@ def _for_cells(coords: list, make, *args):
         raise SnapshotError(f"snapshot {cells}: {exc}") from exc
 
 
-def _groups(keys: list) -> list[list[int]]:
-    """The indices of each group: entries whose keys are equal, in order of first entry."""
-    return [[k for k, other in enumerate(keys) if other == key] for key in dict.fromkeys(keys)]
-
-
-def _cell_groups(cells: list) -> tuple[list, list]:
-    """Member lists of the pooler groups and memory groups of the row-major ``cells``.
-
-    Cells whose parameters differ only in seed are one group.  A memory
-    group lists its cells by pooler group, so it reads their rings in runs.
-    """
-    sp_groups = _groups([sp.group_key for sp, _ in cells])
-    order = [k for members in sp_groups for k in members]
-    tm_groups = _groups([cells[k][1].group_key for k in order])
-    return sp_groups, [[order[i] for i in members] for members in tm_groups]
-
-
 def derive_cell_seeds(grid_seed: int, coord: tuple[int, int]) -> tuple[int, int]:
     """Deterministic (sp_seed, tm_seed) for one cell of the grid."""
     sp_seed = np.random.SeedSequence([grid_seed, coord[0], coord[1], 0])
@@ -219,9 +202,9 @@ class GridModel:
                rng_states=None) -> None:
         """Make the model of ``config``, fresh or from a snapshot's checked header and ``arrays``.
 
-        Each pooler group keeps one history ring per cell.  Each memory group
-        reads its cells' rings in runs, one per pooler group, as ``(rings,
-        positions)`` parts.  Nothing is assigned until every group is built.
+        Each group is ``(members, pooler, memory, rings)``: one history ring
+        per cell, which the memory reads flattened.  Nothing is assigned
+        until every group is built.
         """
         grows, gcols = config.encoder.grid_shape
         flags = (grows, gcols, config.encoder.class_count)
@@ -238,46 +221,43 @@ class GridModel:
                 raise SnapshotError("snapshot agg_history must lie in [0, 1]")
         coords = [(r, c) for r in range(grows) for c in range(gcols)]
         cells = [config.cell_params(coord) for coord in coords]
-        sp_groups, tm_groups = _cell_groups(cells)
+        # Cells whose pooler and memory parameters differ only in seed are one
+        # group, listed row-major, in order of each group's first cell.
+        keys = [(sp.group_key, tm.group_key) for sp, tm in cells]
+        partition = [[k for k, other in enumerate(keys) if other == key]
+                     for key in dict.fromkeys(keys)]
         if arrays is not None:
             expected = {"prev_empty", "agg_history",
-                        *(f"sp{g}.{name}" for g in range(len(sp_groups))
+                        *(f"sp{g}.{name}" for g in range(len(partition))
                           for name in (*SpatialPooler.ARRAYS, "history")),
-                        *(f"tm{g}.{name}" for g in range(len(tm_groups))
+                        *(f"tm{g}.{name}" for g in range(len(partition))
                           for name in TemporalMemory.ARRAYS)}
             if arrays.keys() != expected:
                 raise SnapshotError(f"snapshot arrays {sorted(arrays.keys() ^ expected)} are "
                                     "missing or unknown to its config")
-            if not (isinstance(rng_states, list) and len(rng_states) == len(tm_groups)):
-                raise SnapshotError("snapshot rng_states must hold a list per memory group")
-        poolers, sp_at, tm_at = [], [None] * len(cells), [None] * len(cells)
-        for g, members in enumerate(sp_groups):
-            where, params = [coords[k] for k in members], [cells[k][0] for k in members]
-            shape = (len(members), config.multistep_n, params[0].column_count)
-            state = None if arrays is None else {
-                name: arrays[f"sp{g}.{name}"] for name in (*SpatialPooler.ARRAYS, "history")}
-            group = _for_cells(where, SpatialPooler, params, state)
-            rings = np.zeros(shape, dtype=bool) if state is None else _for_cells(
-                where, loaded, state["history"], shape, bool, "history ring")
+            if not (isinstance(rng_states, list) and len(rng_states) == len(partition)):
+                raise SnapshotError("snapshot rng_states must hold a list per cell group")
+        groups, at = [], [None] * len(cells)
+        for g, members in enumerate(partition):
+            where = [coords[k] for k in members]
+            sp_params, tm_params = zip(*(cells[k] for k in members))
+            shape = (len(members), config.multistep_n, sp_params[0].column_count)
+            sp_state = tm_state = None
+            if arrays is not None:
+                sp_state = {name: arrays[f"sp{g}.{name}"]
+                            for name in (*SpatialPooler.ARRAYS, "history")}
+                tm_state = {**{name: arrays[f"tm{g}.{name}"] for name in TemporalMemory.ARRAYS},
+                            "rng_states": rng_states[g]}
+            pooler = _for_cells(where, SpatialPooler, sp_params, sp_state)
+            rings = np.zeros(shape, dtype=bool) if sp_state is None else _for_cells(
+                where, loaded, sp_state["history"], shape, bool, "history ring")
+            memory = _for_cells(where, TemporalMemory, tm_params, tm_state)
             for i, k in enumerate(members):
-                sp_at[k] = (g, i)
-            poolers.append((np.array(members), group, rings))
-        memories = []
-        for g, members in enumerate(tm_groups):
-            where, params = [coords[k] for k in members], [cells[k][1] for k in members]
-            state = None if arrays is None else {
-                **{name: arrays[f"tm{g}.{name}"] for name in TemporalMemory.ARRAYS},
-                "rng_states": rng_states[g]}
-            group = _for_cells(where, TemporalMemory, params, state)
-            for i, k in enumerate(members):
-                tm_at[k] = (g, i)
-            runs = groupby((sp_at[k] for k in members), key=lambda at: at[0])
-            parts = [(poolers[p][2], np.array([i for _, i in run])) for p, run in runs]
-            memories.append((np.array(members), group, parts))
+                at[k] = (g, i)
+            groups.append((np.array(members), pooler, memory, rings))
         self.config, self.grid_shape = config, (grows, gcols)
-        self._poolers, self._memories = poolers, memories
-        # Per cell, row-major: its (pooler group, index, memory group, index).
-        at = [(*sp, *tm) for sp, tm in zip(sp_at, tm_at)]
+        self._groups = groups
+        # Per cell, row-major: its (group, index in the group's pooler and memory).
         self._units_at = [at[k : k + gcols] for k in range(0, len(cells), gcols)]
         self.prev_empty = prev_empty
         self.frame_counter = frame_counter
@@ -285,10 +265,9 @@ class GridModel:
 
     def unit(self, r: int, c: int) -> CellUnit:
         """Cell ``(r, c)``'s views and history ring; the views read the groups as they are."""
-        sp_group, sp_index, tm_group, tm_index = self._units_at[r][c]
-        _, pooler, rings = self._poolers[sp_group]
-        return CellUnit(CellView(pooler, sp_index),
-                        CellView(self._memories[tm_group][1], tm_index), rings[sp_index])
+        g, i = self._units_at[r][c]
+        _, pooler, memory, rings = self._groups[g]
+        return CellUnit(CellView(pooler, i), CellView(memory, i), rings[i])
 
     @property
     def units(self) -> list:
@@ -297,21 +276,19 @@ class GridModel:
         return [[self.unit(r, c) for c in range(cols)] for r in range(rows)]
 
     def step(self, planes, learn: bool = True, workers: int = 1) -> FrameResult:
-        """Process one frame: each pooler group at once, then each memory group at once.
+        """Process one frame: each group's pooler at once, then its memory over its rings.
 
         ``workers`` is accepted for compatibility and does not change how
         cells run.
         """
         bits, empty = encode_frame(self.config.encoder, planes)
         bits = bits.reshape(-1, bits.shape[-1])
-        for members, group, rings in self._poolers:
-            rings[:, :-1] = rings[:, 1:]
-            rings[:, -1] = group.compute(bits[members], learn)
         raw = np.zeros(self.grid_shape, dtype=np.float64)
         certainty = np.zeros(self.grid_shape, dtype=np.int64)
-        for members, group, parts in self._memories:
-            columns = np.concatenate([rings[at] for rings, at in parts])
-            result = group.compute(columns.reshape(len(members), -1), learn)
+        for members, pooler, memory, rings in self._groups:
+            rings[:, :-1] = rings[:, 1:]
+            rings[:, -1] = pooler.compute(bits[members], learn)
+            result = memory.compute(rings.reshape(len(members), -1), learn)
             raw.flat[members] = result.anomaly_scores
             certainty.flat[members] = result.predictive_column_counts
         # A cell whose class window turns from empty to occupied has no
@@ -342,11 +319,10 @@ class GridModel:
                   "rng_states": []}
         arrays = {"prev_empty": self.prev_empty,
                   "agg_history": np.array(self._agg_history, dtype=np.float64)}
-        for g, (_, group, rings) in enumerate(self._poolers):
-            arrays.update({f"sp{g}.{name}": value for name, value in group.state_dict().items()})
+        for g, (_, pooler, memory, rings) in enumerate(self._groups):
+            arrays.update({f"sp{g}.{name}": value for name, value in pooler.state_dict().items()})
             arrays[f"sp{g}.history"] = rings
-        for g, (_, group, _) in enumerate(self._memories):
-            state = group.state_dict()
+            state = memory.state_dict()
             header["rng_states"].append(state.pop("rng_states"))
             arrays.update({f"tm{g}.{name}": value for name, value in state.items()})
         return header, arrays

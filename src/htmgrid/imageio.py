@@ -154,12 +154,13 @@ def write_mask_sequence(directory, frames) -> None:
     if not frames:
         raise ContractError("cannot write an empty mask sequence")
     class_count = len(frames[0])
+    for i, planes in enumerate(frames):  # before any directory is made
+        if len(planes) != class_count:
+            raise ContractError(f"frame {i} has {len(planes)} planes, expected {class_count}")
     for k in range(class_count):
         os.makedirs(os.path.join(directory, str(k)), exist_ok=True)
     with staged() as beside:
         for i, planes in enumerate(frames):
-            if len(planes) != class_count:
-                raise ContractError(f"frame {i} has {len(planes)} planes, expected {class_count}")
             for k, plane in enumerate(planes):
                 name = FRAME_NAME.format(i) + ".pbm"
                 write_pbm(beside(os.path.join(directory, str(k), name)), plane)
@@ -192,6 +193,8 @@ def mask_sequence_info(directory) -> tuple[int, int]:
                 raise ContractError(f"missing frame file {d}/{name} in {directory}")
     if len(set(counts)) != 1:
         raise ContractError(f"class directories disagree on frame count: {counts}")
+    if counts[0] == 0:
+        raise ContractError(f"class directories under {directory} hold no frame")
     return len(expected), counts[0]
 
 

@@ -11,7 +11,7 @@ from htmgrid import ContractError, GridModel, SnapshotError, runner, snapshot
 from htmgrid.cli import main
 from htmgrid.config import parse_run_config
 from htmgrid.grid import SNAPSHOT_KIND, SNAPSHOT_VERSION
-from htmgrid.imageio import read_mask_sequence, read_ppm
+from htmgrid.imageio import read_mask_sequence, read_ppm, write_mask_sequence
 
 SCENARIO = """
 scenario.frame_size = 36x36
@@ -142,6 +142,30 @@ def test_failed_run_leaves_the_heatmap_dir_it_made_empty(tmp_path, stream_dir):
     assert os.listdir(tmp_path / "out") == ["heat"]
 
 
+def test_failed_generate_leaves_no_stream_and_an_empty_stream_fails(tmp_path):
+    # A sequence whose last frame has the wrong plane count makes no directory.
+    plane = np.zeros((36, 36), dtype=np.uint8)
+    stream = tmp_path / "stream"
+    with pytest.raises(ContractError, match="frame 5 has 1 planes, expected 2"):
+        write_mask_sequence(stream, [[plane, plane] for _ in range(5)] + [[plane]])
+    assert os.listdir(tmp_path) == []
+    # Class directories that hold no frame are not a stream of 0 frames: the
+    # run fails before it writes any output over the old ones.
+    (stream / "0").mkdir(parents=True)
+    (stream / "1").mkdir()
+    csv, snap = tmp_path / "scores.csv", tmp_path / "model.snap"
+    csv.write_text("frame,aggregate\n0,0.5\n", encoding="utf-8")
+    text = "encoder.frame_size = 36x36\nencoder.class_count = 2\n"
+    GridModel(parse_run_config(f"input = {stream}\n{text}").grid).save(snap)
+    before = csv.read_bytes(), snap.read_bytes()
+    config = parse_run_config(f"input = {stream}\n{text}"
+                              f"output.scores_csv = {csv}\noutput.snapshot = {snap}\n")
+    with pytest.raises(ContractError, match="hold no frame"):
+        runner.run(config)
+    assert (csv.read_bytes(), snap.read_bytes()) == before
+    assert sorted(os.listdir(tmp_path)) == ["model.snap", "scores.csv", "stream"]
+
+
 def test_run_with_calibration_discards_rows(tmp_path, stream_dir):
     config = write(
         tmp_path / "cal.cfg",
@@ -224,6 +248,20 @@ def test_snapshot_info(tmp_path, stream_dir, capsys):
     assert "kind: grid-model" in out
     assert "grid: 3x3" in out
     assert "frames_processed: 80" in out
+
+
+def test_snapshot_info_sums_every_cell_group(tmp_path, stream_dir, capsys):
+    # Cell (1, 2) pools through 64 columns, so the model steps two groups.
+    text = run_config_text(stream_dir, tmp_path / "g") + "cell.1.2.sp.column_count = 64\n"
+    assert main(["run", write(tmp_path / "g.cfg", text)]) == 0
+    capsys.readouterr()
+    assert main(["snapshot-info", str(tmp_path / "g.snap")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    model = GridModel.load(tmp_path / "g.snap")
+    segments = sum(len(unit.tm.state_dict()["segments"]) for row in model.units for unit in row)
+    assert segments > 0
+    assert "sp_columns: [64, 128]" in lines
+    assert f"tm_segments_total: {segments}" in lines
 
 
 def test_stats_subcommand(tmp_path, stream_dir, capsys):

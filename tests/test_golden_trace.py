@@ -162,9 +162,8 @@ def state_digest(model) -> str:
     digest.update(json.dumps(header, sort_keys=True).encode())
     for name in sorted(arrays):
         put(name, arrays[name])
-    for g, (_, group, _) in enumerate(model._poolers):
-        put(f"sp{g}.connected", group.connected)
-    for g, (_, group, _) in enumerate(model._memories):
+    for g, (_, pooler, group, _) in enumerate(model._groups):
+        put(f"sp{g}.connected", pooler.connected)
         put(f"tm{g}.seg_potential", group.seg_potential[: group.segment_count])
         for name in ("cell_segment_counts", "predictive_cells", "active_segments",
                      "matching_segments"):

@@ -48,13 +48,13 @@ def test_dropped_model_frees_every_group_at_once():
     model = GridModel(run.grid)
     model.step(blob_planes())
     unit, units = model.unit(1, 2), model.units
-    groups = [weakref.ref(group) for layer in (model._poolers, model._memories)
-              for _, group, _ in layer]
-    assert len(groups) == 4
+    groups = [weakref.ref(layer) for _, pooler, memory, _ in model._groups
+              for layer in (pooler, memory)]
+    assert len(groups) == 6
     gc.disable()
     try:
         del model, unit, units
-        assert [group() for group in groups] == [None] * 4
+        assert [group() for group in groups] == [None] * 6
     finally:
         gc.enable()
 
@@ -281,9 +281,7 @@ def test_override_group_of_one_steps_as_a_standalone_cell(monkeypatch):
 
 @pytest.mark.parametrize("override, sizes", [
     ("cell.1.2.tm.cells_per_column = 4", [1, 8]),
-    # A pooler-only override splits the poolers, not the memories: the one
-    # memory group reads its rings from both pooler groups.
-    ("cell.1.2.sp.permanence_increment = 0.1", [9]),
+    ("cell.1.2.sp.permanence_increment = 0.1", [1, 8]),
 ], ids=["tm", "sp"])
 def test_override_memory_steps_as_a_standalone_cell(monkeypatch, override, sizes):
     group_sizes = []

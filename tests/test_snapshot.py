@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from htmgrid import CellOverride, GridModel, SnapshotError, SpParams, TmParams
+from htmgrid import SpatialPooler, TemporalMemory
 from htmgrid import build_grid_config, snapshot
 from htmgrid.grid import SNAPSHOT_KIND, SNAPSHOT_VERSION
 from tests.conftest import states_equal
@@ -69,12 +70,11 @@ class CellArrays:
 
     def __init__(self, model, header, arrays, coord):
         k = coord[0] * model.grid_shape[1] + coord[1]
-        (self.sp, self.i), = [(f"sp{g}.", list(members).index(k))
-                              for g, (members, _, _) in enumerate(model._poolers) if k in members]
         (self.g, self.u), = [(g, list(members).index(k))
-                             for g, (members, _, _) in enumerate(model._memories) if k in members]
-        self.tm, self.header, self.arrays = f"tm{self.g}.", header, arrays
-        self.T = model._memories[self.g][1].total_cells
+                             for g, (members, *_) in enumerate(model._groups) if k in members]
+        self.sp, self.i, self.tm = f"sp{self.g}.", self.u, f"tm{self.g}."
+        self.header, self.arrays = header, arrays
+        self.T = model._groups[self.g][2].total_cells
         self.rows = np.flatnonzero(self.a("tm.seg_units") == self.u)
         assert self.rows.size >= 2
         lens = self.a("tm.seg_lens")
@@ -266,6 +266,23 @@ def test_version_2_snapshot_is_rejected_by_version():
         GridModel.from_bytes(blob)
 
 
+def test_version_3_file_of_split_pooler_and_memory_groups_is_refused():
+    # Version 3 files once numbered pooler groups and memory groups apart.
+    # This one was saved at commit a7c7173 by GridModel(config) after four
+    # steps of a 6x6 square moving right, where config is
+    #   build_grid_config((12, 24), sp_columns=16, sp_active=4, seed=5,
+    #                     sp_kwargs={"potential_fraction": 0.1})
+    # with cell (0, 1)'s pooler overridden to permanence_increment=0.1: two
+    # pooler groups and one memory group.  Its cells are now two cell groups,
+    # so the file lacks the second group's memory arrays.
+    path = os.path.join(os.path.dirname(__file__), "data", "split_layout_v3.snap")
+    with open(path, "rb") as fh:
+        assert snapshot.read_header(fh.read()) == (SNAPSHOT_KIND, SNAPSHOT_VERSION)
+    with pytest.raises(SnapshotError, match=r"\['tm1\.active_cells', .*'tm1\.winner_cells'\] "
+                                            "are missing or unknown"):
+        GridModel.load(path)
+
+
 # --- what a grid model's snapshot holds ------------------------------------------
 
 
@@ -298,7 +315,7 @@ def test_payload_holds_no_derivable_state():
     assert arrays.keys() == {"prev_empty", "agg_history", *(f"sp0.{name}" for name in sp),
                              *(f"tm0.{name}" for name in tm)}
     # Store rows are cut to the live ones, and synapses to the filled slots.
-    group = model._memories[0][1]
+    group = model._groups[0][2]
     assert arrays["tm0.seg_ids"].shape == (group.segment_count,)
     assert arrays["tm0.presyn"].shape == (group.seg_lens.sum(),)
     # Indices are narrow on disk; learned values stay float64.
@@ -316,15 +333,14 @@ def test_loaded_arrays_are_writable_and_own_their_memory():
     data = stepped_model(config=alone_config()).to_bytes()
     model = GridModel.from_bytes(data)
     arrays = [model.prev_empty]
-    for _, group, rings in model._poolers:
-        arrays += [rings, group.connected, *group.state_dict().values()]
-    for _, group, _ in model._memories:
-        arrays += [getattr(group, name) for name in ("presyn", "perm", "last_reinforced",
-                                                     "seg_units", "seg_ids", "seg_cells",
-                                                     "seg_lens", "seg_last_used", "seg_potential",
-                                                     "cell_segment_counts", "next_segment_ids",
-                                                     "step_counts", "active_cells",
-                                                     "winner_cells")]
+    for _, pooler, memory, rings in model._groups:
+        arrays += [rings, pooler.connected, *pooler.state_dict().values()]
+        arrays += [getattr(memory, name) for name in ("presyn", "perm", "last_reinforced",
+                                                      "seg_units", "seg_ids", "seg_cells",
+                                                      "seg_lens", "seg_last_used", "seg_potential",
+                                                      "cell_segment_counts", "next_segment_ids",
+                                                      "step_counts", "active_cells",
+                                                      "winner_cells")]
     file_bytes = np.frombuffer(data, np.uint8)
     for value in arrays:
         assert value.flags.writeable
@@ -410,7 +426,7 @@ def test_unit_widths_must_match_the_config(part, config):
     cell = CellArrays(model, header, arrays, (0, 1))
     wider = stepped_model(config=config)
     other = CellArrays(wider, *saved_state(wider), (0, 1))
-    for name in (model._poolers[0][1].ARRAYS if part == "sp" else model._memories[0][1].ARRAYS):
+    for name in (SpatialPooler.ARRAYS if part == "sp" else TemporalMemory.ARRAYS):
         cell.put(f"{part}.{name}", other.a(f"{part}.{name}"))
     with pytest.raises(SnapshotError, match=rf"cell \(0, 1\): {part} "):
         model.load_state_dict(header, arrays)
