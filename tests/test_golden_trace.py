@@ -162,12 +162,12 @@ def state_digest(model) -> str:
     digest.update(json.dumps(header, sort_keys=True).encode())
     for name in sorted(arrays):
         put(name, arrays[name])
-    for g, (_, pooler, group, _) in enumerate(model._groups):
+    for g, (_, pooler, memory, _) in enumerate(model._groups):
         put(f"sp{g}.connected", pooler.connected)
-        put(f"tm{g}.seg_potential", group.seg_potential[: group.segment_count])
+        put(f"tm{g}.seg_potential", memory.seg_potential[: memory.segment_count])
         for name in ("cell_segment_counts", "predictive_cells", "active_segments",
                      "matching_segments"):
-            put(f"tm{g}.{name}", getattr(group, name))
+            put(f"tm{g}.{name}", getattr(memory, name))
     return digest.hexdigest()
 
 

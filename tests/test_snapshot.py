@@ -10,8 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from htmgrid import CellOverride, GridModel, SnapshotError, SpParams, TmParams
-from htmgrid import SpatialPooler, TemporalMemory
-from htmgrid import build_grid_config, snapshot
+from htmgrid import SpatialPooler, TemporalMemory, build_grid_config, snapshot
 from htmgrid.grid import SNAPSHOT_KIND, SNAPSHOT_VERSION
 from tests.conftest import states_equal
 
@@ -57,7 +56,7 @@ def stepped_model(frame_size=(24, 24), config=None) -> GridModel:
 
 
 def alone_config(class_count=2, **kwargs):
-    """A 2x2 grid whose cell (0, 1) is a pooler group and a memory group of its own."""
+    """A 2x2 grid whose cell (0, 1) is a cell group of its own."""
     config = build_grid_config((24, 24), (12, 12), class_count, **kwargs)
     sp, tm = config.cell_params((0, 1))
     override = CellOverride(replace(sp, permanence_increment=0.06),
@@ -72,7 +71,7 @@ class CellArrays:
         k = coord[0] * model.grid_shape[1] + coord[1]
         (self.g, self.u), = [(g, list(members).index(k))
                              for g, (members, *_) in enumerate(model._groups) if k in members]
-        self.sp, self.i, self.tm = f"sp{self.g}.", self.u, f"tm{self.g}."
+        self.sp, self.tm = f"sp{self.g}.", f"tm{self.g}."
         self.header, self.arrays = header, arrays
         self.T = model._groups[self.g][2].total_cells
         self.rows = np.flatnonzero(self.a("tm.seg_units") == self.u)
@@ -524,25 +523,25 @@ INDEX_DAMAGE = {
         "tm.winner_cells", np.r_[-1, c.a("tm.winner_cells")]), False),
     "pools-shape": ("pools must be integers of shape",
                     lambda c: c.put("sp.pools", c.a("sp.pools")[..., :-1]), False),
-    "pools-order": ("pool rows", lambda c: c.set("sp.pools", c.i, c.a("sp.pools")[c.i][:, ::-1]),
+    "pools-order": ("pool rows", lambda c: c.set("sp.pools", c.u, c.a("sp.pools")[c.u][:, ::-1]),
                     True),
     "pools-range": ("pool rows", lambda c: c.set(
-        "sp.pools", c.i, c.a("sp.pools")[c.i] + 288 - c.a("sp.pools")[c.i].max()), True),
+        "sp.pools", c.u, c.a("sp.pools")[c.u] + 288 - c.a("sp.pools")[c.u].max()), True),
     "permanences-shape": ("permanences must be float64 of shape",
                           lambda c: c.put("sp.permanences", c.a("sp.permanences")[:, :-1]), False),
     "duty-cycles-shape": ("duty cycles must be float64 of shape",
                           lambda c: c.put("sp.duty_cycles", c.a("sp.duty_cycles")[:, :-1]), False),
     # Learned values outside [0, 1], which nothing the engine writes can hold.
     "permanences-nan": (r"permanences must lie in \[0, 1\]",
-                        lambda c: c.set("sp.permanences", (c.i, 0, 0), np.nan), True),
+                        lambda c: c.set("sp.permanences", (c.u, 0, 0), np.nan), True),
     "permanences-above-one": (r"permanences must lie in \[0, 1\]",
-                              lambda c: c.set("sp.permanences", (c.i, 3, 1), 1.5), True),
+                              lambda c: c.set("sp.permanences", (c.u, 3, 1), 1.5), True),
     "permanences-negative": (r"permanences must lie in \[0, 1\]",
-                             lambda c: c.set("sp.permanences", (c.i, 0, 0), -0.1), True),
+                             lambda c: c.set("sp.permanences", (c.u, 0, 0), -0.1), True),
     "step-count-negative": ("step count must be non-negative",
-                            lambda c: c.set("sp.step_counts", c.i, -1), True),
+                            lambda c: c.set("sp.step_counts", c.u, -1), True),
     "duty-cycles-inf": (r"duty cycles must lie in \[0, 1\]",
-                        lambda c: c.set("sp.duty_cycles", (c.i, 0), np.inf), True),
+                        lambda c: c.set("sp.duty_cycles", (c.u, 0), np.inf), True),
     "tm-perm-nan": (r"synapse permanences must lie in \[0, 1\]",
                     lambda c: c.set("tm.perm", c.syn, np.nan), True),
     "tm-perm-inf": (r"synapse permanences must lie in \[0, 1\]",
