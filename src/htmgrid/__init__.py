@@ -29,7 +29,6 @@ from .scenario import (
     generate,
     object_position,
 )
-from .sdr import Sdr, concatenate, overlap
 from .spatial_pooler import SpParams, SpatialPooler
 from .temporal_memory import TemporalMemory, TmParams, TmStepResult
 
@@ -51,7 +50,6 @@ __all__ = [
     "ObjectTrack",
     "Scenario",
     "Scripted",
-    "Sdr",
     "SnapshotError",
     "SpParams",
     "SpatialPooler",
@@ -64,12 +62,10 @@ __all__ = [
     "aggregate_mean",
     "aggregate_nonzero_mean",
     "build_grid_config",
-    "concatenate",
     "derive_cell_seeds",
     "emitted_frame_times",
     "empty_pattern",
     "encode_frame",
     "generate",
     "object_position",
-    "overlap",
 ]

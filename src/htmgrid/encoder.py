@@ -20,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import MAX_COUNT, ContractError, Validated, out_of_range
-from .sdr import Sdr
 
 __all__ = ["EncoderConfig", "encode_frame", "empty_pattern", "active_pixel_stats"]
 
@@ -83,11 +82,11 @@ def _empty_windows(seed: int, class_count: int, bits: int, k: int) -> np.ndarray
     return out
 
 
-def empty_pattern(config: EncoderConfig, class_index: int) -> Sdr:
-    """The fixed emptiness SDR for one class; shared by every cell and frame."""
+def empty_pattern(config: EncoderConfig, class_index: int) -> np.ndarray:
+    """The fixed empty pattern row for one class; read-only, shared by every cell and frame."""
     bits = config.cell_bits
     k = min(config.empty_pattern_sparsity, bits)
-    return Sdr.from_dense(_empty_windows(config.seed, class_index + 1, bits, k)[class_index])
+    return _empty_windows(config.seed, class_index + 1, bits, k)[class_index]
 
 
 def check_planes(config: EncoderConfig, planes) -> list[np.ndarray]:

@@ -157,6 +157,9 @@ def write_mask_sequence(directory, frames) -> None:
     for i, planes in enumerate(frames):  # before any directory is made
         if len(planes) != class_count:
             raise ContractError(f"frame {i} has {len(planes)} planes, expected {class_count}")
+        for k, plane in enumerate(planes):
+            if np.ndim(plane) != 2:
+                raise ContractError(f"frame {i} plane {k} must be 2-D, got shape {np.shape(plane)}")
     for k in range(class_count):
         os.makedirs(os.path.join(directory, str(k)), exist_ok=True)
     with staged() as beside:

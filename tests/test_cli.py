@@ -316,6 +316,23 @@ def test_stream_frame_size_mismatch_fails(tmp_path, stream_dir, capsys):
     assert not os.path.exists(tmp_path / "m.snap")
 
 
+def test_scenario_frame_size_mismatch_fails(tmp_path, capsys):
+    # the scenario draws 36x36 frames but the encoder expects 48x48
+    scenario = write(tmp_path / "scn.cfg", SCENARIO)
+    config = write(
+        tmp_path / "mismatch.cfg",
+        f"input = {scenario}\nencoder.frame_size = 48x48\n"
+        f"output.scores_csv = {tmp_path / 'm.csv'}\n"
+        f"output.heatmap_dir = {tmp_path / 'm_heat'}\n"
+        f"output.snapshot = {tmp_path / 'm.snap'}\n",
+    )
+    assert main(["run", config]) == 1
+    assert "scenario frame size (36, 36) != encoder frame size (48, 48)" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "m.csv")
+    assert not os.path.exists(tmp_path / "m_heat")
+    assert not os.path.exists(tmp_path / "m.snap")
+
+
 def test_resume_with_mismatched_unit_widths_writes_nothing(tmp_path, stream_dir):
     grid = parse_run_config(run_config_text(stream_dir, "unused")).grid
     header, arrays = GridModel(grid).state_dict()

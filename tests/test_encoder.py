@@ -8,7 +8,6 @@ from htmgrid import (
     ContractError,
     EncoderConfig,
     NoiseSpec,
-    Sdr,
     active_pixel_stats,
     empty_pattern,
     encode_frame,
@@ -40,7 +39,7 @@ def test_sparse_cell_gets_empty_pattern():
     config = make_config(min_sparsity=5)
     bits, empty = encode_frame(config, [frame_with(3)])
     assert empty[0, 0].tolist() == [True]
-    assert Sdr.from_dense(bits[0, 0]) == empty_pattern(config, 0)
+    assert np.array_equal(bits[0, 0], empty_pattern(config, 0))
 
 
 def test_boundary_count_passes_through():
@@ -48,7 +47,7 @@ def test_boundary_count_passes_through():
     bits, empty = encode_frame(config, [frame_with(5)])
     assert empty[0, 0].tolist() == [False]
     assert np.count_nonzero(bits[0, 0]) == 5
-    assert Sdr.from_dense(bits[0, 0]) != empty_pattern(config, 0)
+    assert not np.array_equal(bits[0, 0], empty_pattern(config, 0))
 
 
 def test_grid_shape_by_division():
@@ -72,6 +71,35 @@ def test_window_bits_are_row_major_per_class():
     assert not empty.any()
 
 
+def window_bits(bitmap, cell, cell_size):
+    """The bits ``encode_frame`` gives one cell of a one-class frame."""
+    config = EncoderConfig(frame_size=np.shape(bitmap), cell_size=cell_size,
+                           class_count=1, min_sparsity=0,
+                           empty_pattern_sparsity=0)
+    bits, empty = encode_frame(config, [bitmap])
+    assert not empty.any()
+    return bits[cell]
+
+
+def test_window_index_arithmetic():
+    bitmap = np.zeros((4, 4), dtype=np.uint8)
+    bitmap[1, 1] = 1
+    out = window_bits(bitmap, (0, 0), (2, 2))
+    assert out.size == 4
+    assert np.flatnonzero(out).tolist() == [3]
+
+
+def test_window_zero():
+    out = window_bits(np.zeros((4, 4)), (1, 1), (2, 2))
+    assert out.size == 4
+    assert not out.any()
+
+
+def test_window_saturated():
+    out = window_bits(np.ones((3, 3)), (0, 0), (3, 3))
+    assert out.all() and out.size == 9
+
+
 def window_oracle(config, planes):
     """``encode_frame`` by slicing one window at a time."""
     cr, cc = config.cell_size
@@ -86,7 +114,7 @@ def window_oracle(config, planes):
                           for i in range(cr) for j in range(cc)]
                 if sum(window) < config.min_sparsity:
                     empty[r, c, k] = True
-                    window = empty_pattern(config, k).to_dense().tolist()
+                    window = empty_pattern(config, k).tolist()
                 parts.extend(window)
             bits[r, c] = parts
     return bits, empty
@@ -130,13 +158,14 @@ def test_plane_count_and_size_validated():
 def test_empty_pattern_properties():
     config = make_config(empty_pattern_sparsity=5)
     pattern = empty_pattern(config, 0)
-    assert pattern.width == 144
-    assert pattern.active_count == 5
+    assert pattern.shape == (144,) and pattern.dtype == bool
+    assert not pattern.flags.writeable
+    assert np.count_nonzero(pattern) == 5
     # stable across calls, distinct per class, seed-dependent
-    assert pattern == empty_pattern(config, 0)
-    assert pattern != empty_pattern(config, 1)
+    assert np.array_equal(pattern, empty_pattern(config, 0))
+    assert not np.array_equal(pattern, empty_pattern(config, 1))
     other_seed = make_config(seed=6)
-    assert pattern != empty_pattern(other_seed, 0)
+    assert not np.array_equal(pattern, empty_pattern(other_seed, 0))
 
 
 def test_empty_pattern_shared_across_cells_and_frames():
@@ -146,14 +175,14 @@ def test_empty_pattern_shared_across_cells_and_frames():
         [frame_with(1, where=(12, 12))],
     ]
     encoded = [encode_frame(config, planes) for planes in frames]
-    sdrs = {
-        Sdr.from_dense(bits[r, c])
+    rows = {
+        bits[r, c].tobytes()
         for bits, empty in encoded
         for r in range(2)
         for c in range(2)
         if empty[r, c, 0]
     }
-    assert sdrs == {empty_pattern(config, 0)}
+    assert rows == {empty_pattern(config, 0).tobytes()}
 
 
 def test_encoding_is_deterministic():

@@ -118,12 +118,23 @@ def test_mask_sequence_round_trip(tmp_path):
 
 
 def test_mask_sequence_with_a_bad_frame_writes_no_file(tmp_path):
+    # Not even a class directory: every frame is checked before any is made.
     plane = np.zeros((8, 8), dtype=np.uint8)
-    frames = [[plane, plane] for _ in range(5)] + [[plane]]
-    stream = tmp_path / "stream"
-    with pytest.raises(ContractError, match="frame 5 has 1 planes"):
-        write_mask_sequence(stream, frames)
-    assert [path for path in stream.rglob("*") if path.is_file()] == []
+    for frames, problem in [
+        ([[plane, plane] for _ in range(5)] + [[plane]], "frame 5 has 1 planes"),
+        ([[plane], [np.zeros(8)]], r"frame 1 plane 0 must be 2-D, got shape \(8,\)"),
+    ]:
+        stream = tmp_path / "stream"
+        with pytest.raises(ContractError, match=problem):
+            write_mask_sequence(stream, frames)
+        assert not stream.exists()
+
+
+def test_pbm_plane_must_be_2d(tmp_path):
+    path = tmp_path / "mask.pbm"
+    with pytest.raises(ContractError, match=r"mask plane must be 2-D, got shape \(2, 4, 4\)"):
+        write_pbm(path, np.zeros((2, 4, 4), dtype=np.uint8))
+    assert not path.exists()
 
 
 def test_staged_commits_in_the_order_named_and_removes_the_rest(tmp_path, monkeypatch):

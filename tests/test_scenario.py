@@ -16,6 +16,7 @@ from htmgrid import (
     generate,
     object_position,
 )
+from htmgrid.config import parse_scenario_config
 from htmgrid.scenario import _emitted_count
 
 
@@ -152,6 +153,23 @@ def test_validation_reports_all_problems():
     assert "object 1" in message
     assert "event 0" in message
     assert "event 1" in message
+
+
+_ONE_OBJECT = "scenario.frame_size = 12x12\nscenario.frame_count = 4\nobject.0.shape = 3x3\n"
+_STANDING = "object.0.path = stationary\nobject.0.position = 1,1\n"
+
+
+@pytest.mark.parametrize("lines, problem", [
+    ("object.0.path = scripted\nobject.0.positions =", "scripted path needs at least one position"),
+    ("object.0.path = scripted\nobject.0.positions = 1,1;10,10",
+     r"position \(10, 10\) puts the rectangle out of frame"),
+    (_STANDING + "object.0.class = 1", r"class_index 1 outside \[0, 1\)"),
+    (_STANDING + "noise.object_dropout = 1.0", r"object_dropout_probability must be in \[0, 1\)"),
+], ids=["scripted-no-positions", "scripted-out-of-frame", "class-index", "dropout-one"])
+def test_scenario_text_problems_are_config_errors(lines, problem):
+    scenario = parse_scenario_config(f"{_ONE_OBJECT}{lines}\n")
+    with pytest.raises(ConfigError, match=problem):
+        generate(scenario)
 
 
 _EVENTS = st.one_of(

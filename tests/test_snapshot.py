@@ -177,7 +177,8 @@ def test_corruption_detected():
 
 def test_truncation_detected():
     blob = snapshot.pack("thing", 1, {"x": 1}, {"a": np.arange(100)})
-    for cut in (3, 10, len(blob) - 4):
+    # In the fixed header, in the payload's length and checksum, and in the body.
+    for cut in (3, 10, 20, len(blob) - 4):
         with pytest.raises(SnapshotError):
             snapshot.unpack(blob[:cut], "thing", 1)
 
@@ -220,9 +221,10 @@ def test_array_table_must_fit_the_body(damage):
 
 @pytest.mark.parametrize("body", [b"", b"\0\0\0\0\0\0\0\x09{}", struct.pack(">Q", 2) + b"[]",
                                   struct.pack(">Q", 2) + b"{]", struct.pack(">Q", 2) + b"\xff\xfe",
-                                  struct.pack(">Q", 12) + b'{"arrays":1}'],
+                                  struct.pack(">Q", 12) + b'{"arrays":1}',
+                                  struct.pack(">Q", 13) + b'{"arrays":[]}\0'],
                          ids=["empty", "header-runs-past", "not-an-object", "not-json", "not-utf8",
-                              "table-not-a-list"])
+                              "table-not-a-list", "trailing-bytes"])
 def test_body_must_hold_a_header_and_a_table(body):
     prefix, _, _ = split(snapshot.pack("thing", 1, {}, {}))
     with pytest.raises(SnapshotError):
@@ -358,6 +360,17 @@ def test_header_keys_must_all_be_present(key):
     del header[key]
     with pytest.raises(SnapshotError, match=rf"not a grid model: KeyError\('{key}'\)"):
         GridModel.from_bytes(packed(header, arrays))
+
+
+@pytest.mark.parametrize("rng_states", [{"0": []}, [[], []]], ids=["not-a-list", "one-too-many"])
+def test_header_rng_states_must_hold_a_list_per_cell_group(rng_states):
+    model = stepped_model()
+    before = model.to_bytes()
+    header, arrays = saved_state(model)
+    header["rng_states"] = rng_states
+    with pytest.raises(SnapshotError, match="rng_states must hold a list per cell group"):
+        model.load_state_dict(header, arrays)
+    assert model.to_bytes() == before
 
 
 @pytest.mark.parametrize("name", ["prev_empty", "agg_history", "sp0.history", "tm0.perm"])
@@ -556,6 +569,10 @@ INDEX_DAMAGE = {
                                lambda c: c.set("tm.step_counts", c.u, -1), True),
     "generator-state": ("generator state does not load", lambda c: c.header["rng_states"][c.g]
                         .__setitem__(c.u, {"bit_generator": "MT19937"}), True),
+    "generator-states-length": ("generator states must be a list of 1",
+                                lambda c: c.header["rng_states"][c.g].append({}), False),
+    "segment-unit-range": (r"segment units must be integers in \[0, 1\)",
+                           lambda c: c.set("tm.seg_units", c.rows[-1], c.u + 1), False),
 }
 
 

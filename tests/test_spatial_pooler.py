@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from htmgrid import ConfigError, ContractError, Sdr, SpParams, SpatialPooler
+from htmgrid import ConfigError, ContractError, SpParams, SpatialPooler
 from tests.conftest import PerCellPooler, dense, states_equal
 
 
@@ -69,8 +69,7 @@ def test_group_cells_differ_only_in_seed():
     np.zeros((2, 144), dtype=bool),
     np.zeros(144, dtype=bool),
     [[False] * 144],
-    Sdr(144, [1]),
-], ids=["wrong-length", "uint8-row", "2-d", "1-d", "list", "sdr"])
+], ids=["wrong-length", "uint8-row", "2-d", "1-d", "list"])
 def test_width_mismatch(bits):
     # A group of one takes one row of 144 bits.
     sp = pooler()

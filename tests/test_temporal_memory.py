@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from htmgrid import ContractError, Sdr, TemporalMemory, TmParams
+from htmgrid import ContractError, TemporalMemory, TmParams
 from tests.conftest import PerCellMemory, dense, states_equal
 
 
@@ -48,8 +48,7 @@ def test_empty_input_scores_zero():
     np.zeros(36, dtype=bool),
     np.zeros((2, 36), dtype=bool),
     [[False] * 36],
-    Sdr(36, [0]),
-], ids=["wrong-length", "uint8-row", "1-d", "two-units", "list", "sdr"])
+], ids=["wrong-length", "uint8-row", "1-d", "two-units", "list"])
 def test_width_mismatch(columns):
     tm = make_tm()
     with pytest.raises(ContractError, match=r"tm active columns must be bool of shape \(1, 36\)"):
