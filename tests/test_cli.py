@@ -300,37 +300,24 @@ def test_missing_input_fails(tmp_path, capsys):
 
 
 def test_stream_frame_size_mismatch_fails(tmp_path, stream_dir, capsys):
-    # the stream on disk is 36x36 but the encoder expects 48x48; the run
-    # fails on the first frame, before any output exists
-    config = write(
-        tmp_path / "mismatch.cfg",
-        f"input = {stream_dir}\nencoder.frame_size = 48x48\n"
-        f"output.scores_csv = {tmp_path / 'm.csv'}\n"
-        f"output.heatmap_dir = {tmp_path / 'm_heat'}\n"
-        f"output.snapshot = {tmp_path / 'm.snap'}\n",
-    )
-    assert main(["run", config]) == 1
-    assert "shape" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "m.csv")
-    assert not os.path.exists(tmp_path / "m_heat")
-    assert not os.path.exists(tmp_path / "m.snap")
-
-
-def test_scenario_frame_size_mismatch_fails(tmp_path, capsys):
-    # the scenario draws 36x36 frames but the encoder expects 48x48
+    # the stream on disk and the scenario file are 36x36 but the encoder
+    # expects 48x48; the run fails on the stream's first frame, or on the
+    # scenario file before it is generated, before any output exists
     scenario = write(tmp_path / "scn.cfg", SCENARIO)
-    config = write(
-        tmp_path / "mismatch.cfg",
-        f"input = {scenario}\nencoder.frame_size = 48x48\n"
-        f"output.scores_csv = {tmp_path / 'm.csv'}\n"
-        f"output.heatmap_dir = {tmp_path / 'm_heat'}\n"
-        f"output.snapshot = {tmp_path / 'm.snap'}\n",
-    )
-    assert main(["run", config]) == 1
-    assert "scenario frame size (36, 36) != encoder frame size (48, 48)" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "m.csv")
-    assert not os.path.exists(tmp_path / "m_heat")
-    assert not os.path.exists(tmp_path / "m.snap")
+    for source, problem in [(stream_dir, "shape"), (scenario, "scenario frame size (36, 36) "
+                                                              "!= encoder frame size (48, 48)")]:
+        config = write(
+            tmp_path / "mismatch.cfg",
+            f"input = {source}\nencoder.frame_size = 48x48\n"
+            f"output.scores_csv = {tmp_path / 'm.csv'}\n"
+            f"output.heatmap_dir = {tmp_path / 'm_heat'}\n"
+            f"output.snapshot = {tmp_path / 'm.snap'}\n",
+        )
+        assert main(["run", config]) == 1
+        assert problem in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "m.csv")
+        assert not os.path.exists(tmp_path / "m_heat")
+        assert not os.path.exists(tmp_path / "m.snap")
 
 
 def test_resume_with_mismatched_unit_widths_writes_nothing(tmp_path, stream_dir):
