@@ -82,11 +82,23 @@ def _empty_windows(seed: int, class_count: int, bits: int, k: int) -> np.ndarray
     return out
 
 
+def _patterns(config: EncoderConfig) -> np.ndarray:
+    """The empty pattern of each of ``config``'s classes, from the one cache entry they share."""
+    return _empty_windows(config.seed, config.class_count, config.cell_bits,
+                          config.empty_pattern_sparsity)
+
+
 def empty_pattern(config: EncoderConfig, class_index: int) -> np.ndarray:
-    """The fixed empty pattern row for one class; read-only, shared by every cell and frame."""
-    bits = config.cell_bits
-    k = min(config.empty_pattern_sparsity, bits)
-    return _empty_windows(config.seed, class_index + 1, bits, k)[class_index]
+    """The fixed empty pattern row for one class; read-only, shared by every cell and frame.
+
+    ``ConfigError`` for a config ``encode_frame`` refuses, and ``ContractError``
+    for a class index outside ``[0, class_count)``.
+    """
+    config.validate()
+    if not 0 <= class_index < config.class_count:
+        raise ContractError(f"class index {class_index} is outside "
+                            f"[0, {config.class_count})")
+    return _patterns(config)[class_index]
 
 
 def check_planes(config: EncoderConfig, planes) -> list[np.ndarray]:
@@ -121,8 +133,7 @@ def encode_frame(config: EncoderConfig, planes) -> tuple[np.ndarray, np.ndarray]
     windows = stacked.reshape(classes, grows, cr, gcols, cc).transpose(1, 3, 0, 2, 4)
     windows = windows.reshape(grows, gcols, classes, cr * cc)
     empty = np.count_nonzero(windows, axis=3) < config.min_sparsity
-    patterns = _empty_windows(config.seed, classes, cr * cc, config.empty_pattern_sparsity)
-    bits = np.where(empty[..., None], patterns, windows)
+    bits = np.where(empty[..., None], _patterns(config), windows)
     return bits.reshape(grows, gcols, classes * cr * cc), empty
 
 

@@ -43,20 +43,27 @@ def check_bits(bits, shape: tuple, what: str) -> None:
         raise ContractError(f"{what} must be bool of shape {shape}, got {got}")
 
 
-def loaded(value: np.ndarray, shape: tuple, dtype, what: str) -> np.ndarray:
-    """A new ``dtype`` copy of a snapshot array, or ``SnapshotError`` if it does not fit.
+def checked(value: np.ndarray, shape: tuple, dtype, what: str) -> np.ndarray:
+    """``value`` itself, or ``SnapshotError`` if it does not fit ``shape`` and ``dtype``.
 
-    Indices (int64) may come in any integer dtype; float64 and bool must come
-    as they are, so no value is rounded.  ``None`` in ``shape`` takes any length.
+    Indices (an integer ``dtype``) may come in any integer dtype; float64 and
+    bool must come as they are, so no value is rounded.  ``None`` in ``shape``
+    takes any length.
     """
-    fits = value.dtype.kind in "iu" if dtype is np.int64 else value.dtype == dtype
+    integers = np.dtype(dtype).kind in "iu"
+    fits = value.dtype.kind in "iu" if integers else value.dtype == dtype
     if not (fits and len(value.shape) == len(shape)
             and all(want in (None, got) for want, got in zip(shape, value.shape))):
-        kind = "integers" if dtype is np.int64 else np.dtype(dtype).name
+        kind = "integers" if integers else np.dtype(dtype).name
         want = tuple("n" if size is None else size for size in shape)
         raise SnapshotError(f"{what} must be {kind} of shape {want}, "
                             f"got {value.dtype} of shape {value.shape}")
-    return value.astype(dtype)
+    return value
+
+
+def loaded(value: np.ndarray, shape: tuple, dtype, what: str) -> np.ndarray:
+    """A new ``dtype`` copy of a snapshot array that ``checked`` accepts."""
+    return checked(value, shape, dtype, what).astype(dtype)
 
 
 def check_units(bad: np.ndarray, what: str, owners: np.ndarray | None = None) -> None:

@@ -6,10 +6,13 @@ Ahmad & Hawkins 2017, "The HTM Spatial Pooler".  A pooler has no topology or
 local inhibition, so the cells of a grid whose parameters differ only in
 ``seed`` are one group, and one ``compute`` call steps them all; cells still
 share no state.  Cell ``i`` owns row ``i`` of the group's ``pools`` and
-``permanences``, which a snapshot stores as they are.  The group derives one
-more array from them: each cell's connected synapses as a bool mask with a row
-of columns per input bit, so an overlap sums the rows of the active bits only.
-Learning rewrites the mask entries whose permanence crossed the threshold.
+``permanences``, which a snapshot stores as they are; pools are kept in the
+narrowest dtype that holds an input bit.  The group derives one more array
+from them: each cell's connected synapses as a 0/1 ``uint16`` mask with a row
+of columns per input bit, padded to a multiple of 4 columns.  An overlap sums
+the rows of the active bits only, four 16-bit lanes to a ``uint64`` word, which
+is exact while a pool holds fewer than 2**16 bits.  Learning rewrites the mask
+entries whose permanence crossed the threshold.
 Winner selection is fully deterministic: ties are broken by ascending column
 index, and all randomness comes from each cell's seed.
 """
@@ -23,12 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (MAX_COUNT, ContractError, Validated, check_bits, check_units, loaded,
-                     out_of_range)
+from .errors import (MAX_COUNT, ContractError, Validated, check_bits, check_units, checked,
+                     loaded, out_of_range)
 
 __all__ = ["SpParams", "SpatialPooler"]
 
 _DUTY_WINDOW = 1000  # duty cycle averaging horizon when boosting is enabled
+_WORD_LANES = 4  # 16-bit overlap lanes in each uint64 word of the running sum
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,10 @@ class SpParams(Validated):
                 f"{self.pool_size} bits, got {self.boost_strength}: a larger boost overflows "
                 "pool_size * exp(boost_strength)"
             )
+        if (0 < self.input_width <= MAX_COUNT and 0.0 < self.potential_fraction <= 1.0
+                and self.pool_size >= 2**16):
+            out.append(f"sp pool_size (potential_fraction x input_width) must be below 65536, "
+                       f"got {self.pool_size}: an overlap is summed in 16 bits")
         if self.seed < 0:
             out.append("sp seed must be non-negative")
         return out + out_of_range("sp", self, ("stimulus_threshold",))
@@ -120,8 +128,9 @@ class SpatialPooler:
         p = params[0]
         self.params = tuple(params)
         shape = (len(params), p.column_count, p.pool_size)
+        pool_dtype = np.min_scalar_type(p.input_width - 1)
         if state is None:
-            self.pools = np.empty(shape, dtype=np.int64)
+            self.pools = np.empty(shape, dtype=pool_dtype)
             self.permanences = np.empty(shape, dtype=np.float64)
             for i, cell in enumerate(params):
                 rng = np.random.default_rng(cell.seed)
@@ -133,25 +142,50 @@ class SpatialPooler:
             self.duty_cycles = np.zeros(shape[:2], dtype=np.float64)
             self.step_counts = np.zeros(len(params), dtype=np.int64)
         else:
-            for name, dtype, size in (("pools", np.int64, 3), ("permanences", np.float64, 3),
+            pools = checked(state["pools"], shape, pool_dtype, "sp pools")
+            for name, dtype, size in (("permanences", np.float64, 3),
                                       ("duty_cycles", np.float64, 2), ("step_counts", np.int64, 1)):
                 setattr(self, name, loaded(state[name], shape[:size], dtype,
                                            f"sp {name.replace('_', ' ')}"))
-            # As stored: a narrower dtype compares faster, and the range check is the same.
-            pools, width = state["pools"], p.input_width
+            # Checked as stored, then narrowed: a cast before the range check could wrap.
+            width = p.input_width
             ordered = np.all(pools[..., 1:] > pools[..., :-1], axis=2)
             check_units(~ordered | (pools[..., 0] < 0) | (pools[..., -1] >= width),
                         f"sp pool rows must be strictly increasing integers in [0, {width})")
+            self.pools = pools.astype(pool_dtype)
             for name in ("permanences", "duty_cycles"):  # NaN lies outside [0, 1] too
                 values = getattr(self, name)
                 check_units(~((values >= 0.0) & (values <= 1.0)),
                             f"sp {name.replace('_', ' ')} must lie in [0, 1]")
             check_units(self.step_counts < 0, "sp step count must be non-negative")
-        # Entry (i, bit, column) is set where cell i's column has a connected synapse on bit.
-        self.connected = np.zeros((len(params), p.input_width, p.column_count), dtype=bool)
+        # Entry (i, bit, column) is 1 where cell i's column has a connected synapse on bit.
+        # Pools are widened before the product, which their own dtype could wrap.
+        lanes = -(-p.column_count // _WORD_LANES) * _WORD_LANES  # 16-bit lanes per bit
+        self.connected = np.zeros((len(params), p.input_width, lanes), dtype=np.uint16)
         columns = np.arange(p.column_count)[:, None]
         for mask, pools, perm in zip(self.connected, self.pools, self.permanences):
-            mask.reshape(-1)[pools * p.column_count + columns] = perm >= p.connected_threshold
+            mask.reshape(-1)[columns + lanes * pools.astype(np.intp)] = (
+                perm >= p.connected_threshold)
+
+    def overlaps(self, bits: np.ndarray) -> np.ndarray:
+        """Each cell's connected synapses on active bits, as int32 ``(cells, column_count)``.
+
+        ``bits`` is as ``compute`` takes it.  A running sum of the mask rows of
+        every active bit, read at the cells' bounds.  Its uint64 words hold four
+        16-bit lanes each; carries between lanes in the sum cancel in the
+        difference, since no cell's lane can carry while its column pools fewer
+        than 2**16 bits.
+        """
+        p = self.params[0]
+        check_bits(bits, (len(self.params), p.input_width), "sp input")
+        words = self.connected.reshape(-1, self.connected.shape[2]).view(np.uint64)
+        active_bits = np.flatnonzero(bits)
+        sums = np.zeros((len(active_bits) + 1, words.shape[1]), dtype=np.uint64)
+        sums[1:] = words[active_bits]
+        np.cumsum(sums, axis=0, out=sums)
+        bounds = np.concatenate(([0], np.count_nonzero(bits, axis=1).cumsum()))
+        lane_sums = np.diff(sums[bounds], axis=0).view(np.uint16)
+        return lane_sums[:, : p.column_count].astype(np.int32)
 
     def compute(self, bits: np.ndarray, learn: bool) -> np.ndarray:
         """Pool a bool array of ``(cells, input_width)``; others raise ``ContractError``.
@@ -160,15 +194,7 @@ class SpatialPooler:
         winners set.  Permanences change only when ``learn`` is true.
         """
         p = self.params[0]
-        check_bits(bits, (len(self.params), p.input_width), "sp input")
-        # A running sum of the mask rows of every active bit, read at the cells' bounds.
-        active_bits = np.flatnonzero(bits)
-        sums = np.zeros((len(active_bits) + 1, p.column_count), dtype=np.int32)
-        sums[1:] = self.connected.reshape(-1, p.column_count)[active_bits]
-        np.cumsum(sums, axis=0, out=sums)
-        bounds = np.concatenate(([0], np.count_nonzero(bits, axis=1).cumsum()))
-        overlaps = np.diff(sums[bounds], axis=0)
-
+        overlaps = self.overlaps(bits)
         ranking = overlaps
         if p.boosting_enabled:
             target = p.active_columns / p.column_count
@@ -193,12 +219,12 @@ class SpatialPooler:
             # A synapse on an active bit gains the increment; every other one loses the decrement.
             after = before - p.permanence_decrement
             np.add(before, p.permanence_increment, out=after,
-                   where=bits.reshape(-1)[pools + cells[:, None] * p.input_width])
+                   where=bits.reshape(-1)[cells[:, None] * p.input_width + pools])
             permanences[rows] = np.clip(after, 0.0, 1.0, out=after)
             # A mask entry flips where its permanence crossed the threshold.
             crossed = (after >= p.connected_threshold) != (before >= p.connected_threshold)
             changed, slots = np.divmod(np.flatnonzero(crossed), p.pool_size)
-            self.connected[cells[changed], pools[changed, slots], winners[changed]] ^= True
+            self.connected[cells[changed], pools[changed, slots], winners[changed]] ^= 1
             if p.boosting_enabled:
                 horizon = np.minimum(self.step_counts + 1, _DUTY_WINDOW)
                 self.duty_cycles += (active - self.duty_cycles) / horizon[:, None]

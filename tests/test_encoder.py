@@ -13,6 +13,7 @@ from htmgrid import (
     encode_frame,
     generate,
 )
+from htmgrid import encoder as encoder_module
 from tests.conftest import loop_scenario
 
 
@@ -40,6 +41,36 @@ def test_sparse_cell_gets_empty_pattern():
     bits, empty = encode_frame(config, [frame_with(3)])
     assert empty[0, 0].tolist() == [True]
     assert np.array_equal(bits[0, 0], empty_pattern(config, 0))
+
+
+def test_empty_pattern_refuses_a_config_encode_frame_refuses():
+    # More empty-pattern bits than a 2x2 cell holds.
+    config = EncoderConfig(frame_size=(4, 4), cell_size=(2, 2), empty_pattern_sparsity=10)
+    with pytest.raises(ConfigError, match="empty_pattern_sparsity"):
+        encode_frame(config, [np.zeros((4, 4))])
+    with pytest.raises(ConfigError, match="empty_pattern_sparsity"):
+        empty_pattern(config, 0)
+
+
+@pytest.mark.parametrize("class_index", [-1, 2, 5])
+def test_empty_pattern_refuses_a_class_outside_the_config(class_index):
+    config = make_config(class_count=2)
+    with pytest.raises(ContractError, match=rf"class index {class_index} is outside \[0, 2\)"):
+        empty_pattern(config, class_index)
+
+
+def test_empty_pattern_reads_the_row_encode_frame_puts_in():
+    # Class 1 of three: the row comes from the one table that encode_frame reads,
+    # not from a table cut at the class index.
+    config = make_config(class_count=3, min_sparsity=5)
+    planes = [np.ones((24, 24)), frame_with(0), np.ones((24, 24))]
+    bits, empty = encode_frame(config, planes)
+    assert empty[0, 0].tolist() == [False, True, False]
+    row = empty_pattern(config, 1)
+    assert np.array_equal(bits[0, 0, 144:288], row)
+    table = encoder_module._empty_windows(config.seed, 3, 144, config.empty_pattern_sparsity)
+    assert np.shares_memory(row, table)
+    assert not row.flags.writeable
 
 
 def test_boundary_count_passes_through():
@@ -163,7 +194,9 @@ def test_empty_pattern_properties():
     assert np.count_nonzero(pattern) == 5
     # stable across calls, distinct per class, seed-dependent
     assert np.array_equal(pattern, empty_pattern(config, 0))
-    assert not np.array_equal(pattern, empty_pattern(config, 1))
+    two_classes = make_config(empty_pattern_sparsity=5, class_count=2)
+    assert np.array_equal(pattern, empty_pattern(two_classes, 0))
+    assert not np.array_equal(pattern, empty_pattern(two_classes, 1))
     other_seed = make_config(seed=6)
     assert not np.array_equal(pattern, empty_pattern(other_seed, 0))
 

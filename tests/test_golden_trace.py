@@ -149,7 +149,8 @@ def state_digest(model) -> str:
     The arrays are hashed in name order with their dtypes and shapes.  The
     derived ones (each memory group's potential counts, segment counts per
     cell, predictive cells and segment activity, and each pooler group's
-    connected mask) are rebuilt by a load, so a reloaded model must match.
+    connected mask, as bool over its real columns) are rebuilt by a load, so a
+    reloaded model must match.
     """
     digest = hashlib.sha256()
 
@@ -163,7 +164,7 @@ def state_digest(model) -> str:
     for name in sorted(arrays):
         put(name, arrays[name])
     for g, (_, pooler, memory, _) in enumerate(model._groups):
-        put(f"sp{g}.connected", pooler.connected)
+        put(f"sp{g}.connected", pooler.connected[..., : pooler.params[0].column_count] != 0)
         put(f"tm{g}.seg_potential", memory.seg_potential[: memory.segment_count])
         for name in ("cell_segment_counts", "predictive_cells", "active_segments",
                      "matching_segments"):

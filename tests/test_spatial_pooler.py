@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from htmgrid import ConfigError, ContractError, SpParams, SpatialPooler
+from htmgrid import ConfigError, ContractError, SnapshotError, SpParams, SpatialPooler
 from tests.conftest import PerCellPooler, dense, states_equal
 
 
@@ -54,6 +54,74 @@ def test_single_column_degenerate_grid():
 def test_active_columns_cap_validated():
     with pytest.raises(ConfigError):
         pooler(column_count=4, active_columns=5)
+
+
+def test_pools_of_65536_bits_are_refused():
+    # An overlap is summed in a 16-bit lane, which a pool of 2**16 bits could fill.
+    with pytest.raises(ConfigError, match=r"sp pool_size .* must be below 65536, got 65536"):
+        make_params(input_width=65536, potential_fraction=1.0).validate()
+
+
+def test_full_lanes_sum_without_carries():
+    # Every bit of a 65535-bit pool connects and is active, so a column's lane reads its
+    # largest value; the running sum over three cells carries out of each lane, and out
+    # of column 4's padded word, and the cells' differences must cancel every carry.
+    width, columns = 65535, 5
+    params = [make_params(input_width=width, column_count=columns, active_columns=columns,
+                          potential_fraction=1.0, seed=s) for s in (1, 2, 3)]
+    sp = SpatialPooler(params, {"pools": np.broadcast_to(np.arange(width), (3, columns, width)),
+                                "permanences": np.ones((3, columns, width)),
+                                "duty_cycles": np.zeros((3, columns)),
+                                "step_counts": np.zeros(3, dtype=np.int64)})
+    assert sp.connected.shape == (3, width, 8)
+    bits = np.ones((3, width), dtype=bool)
+    bits[1] = False
+    assert sp.overlaps(bits).tolist() == [[width] * columns, [0] * columns, [width] * columns]
+    assert sp.compute(bits, learn=False).tolist() == [[True] * columns, [False] * columns,
+                                                      [True] * columns]
+
+
+def wide_index_mask(sp: SpatialPooler) -> np.ndarray:
+    """The group's connected mask over its real columns, built from int64 pools."""
+    p = sp.params[0]
+    mask = np.zeros((len(sp.params), p.input_width, p.column_count), dtype=bool)
+    columns = np.broadcast_to(np.arange(p.column_count)[:, None], sp.pools.shape[1:])
+    for cell, pools, perm in zip(mask, sp.pools.astype(np.int64), sp.permanences):
+        cell[pools, columns] = perm >= p.connected_threshold
+    return mask
+
+
+def test_narrow_pools_index_the_mask_without_wrapping():
+    # 600 bits x 128 columns exceeds 2**16, so an index product in the pools' uint16 wraps.
+    sp = SpatialPooler([make_params(input_width=600, seed=s) for s in (1, 2)])
+    assert sp.pools.dtype == np.uint16
+    fresh = wide_index_mask(sp)
+    assert np.array_equal(sp.connected[..., :128] != 0, fresh)
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        sp.compute(rng.random((2, 600)) < 0.2, learn=True)
+    learned = wide_index_mask(sp)
+    assert not np.array_equal(learned, fresh)
+    assert np.array_equal(sp.connected[..., :128] != 0, learned)
+    restored = SpatialPooler(sp.params, sp.state_dict())
+    assert restored.pools.dtype == np.uint16
+    assert np.array_equal(restored.connected[..., :128] != 0, learned)
+
+
+def test_pools_load_in_their_narrowest_dtype():
+    sp = pooler()
+    assert sp.pools.dtype == np.uint8  # 144 input bits
+    state = {**sp.state_dict(), "pools": sp.pools.astype(np.int64)}
+    assert SpatialPooler(sp.params, state).pools.dtype == np.uint8
+
+
+def test_pools_are_range_checked_before_they_are_narrowed():
+    # Every entry 256 past a valid row is out of range, yet reads as that row in uint8.
+    sp = pooler()
+    state = {**sp.state_dict(), "pools": sp.pools.astype(np.uint16) + 256}
+    with pytest.raises(SnapshotError, match=r"pool rows must be strictly increasing integers "
+                                            r"in \[0, 144\)"):
+        SpatialPooler(sp.params, state)
 
 
 def test_group_cells_differ_only_in_seed():
