@@ -68,17 +68,17 @@ class SpParams(Validated):
             out.append("sp permanence_increment must be > 0")
         if self.permanence_decrement < 0.0:
             out.append("sp permanence_decrement must be >= 0")
+        # The pool size is only computed from a width and a fraction in range.
+        sized = 0 < self.input_width <= MAX_COUNT and 0.0 < self.potential_fraction <= 1.0
         if self.boost_strength < 0.0:
             out.append(f"sp boost_strength must be >= 0, got {self.boost_strength}")
-        elif (0 < self.input_width <= MAX_COUNT and 0.0 < self.potential_fraction <= 1.0
-              and self.boost_strength > self.max_boost_strength):
+        elif sized and self.boost_strength > self.max_boost_strength:
             out.append(
                 f"sp boost_strength must be at most {self.max_boost_strength} for a pool of "
                 f"{self.pool_size} bits, got {self.boost_strength}: a larger boost overflows "
                 "pool_size * exp(boost_strength)"
             )
-        if (0 < self.input_width <= MAX_COUNT and 0.0 < self.potential_fraction <= 1.0
-                and self.pool_size >= 2**16):
+        if sized and self.pool_size >= 2**16:
             out.append(f"sp pool_size (potential_fraction x input_width) must be below 65536, "
                        f"got {self.pool_size}: an overlap is summed in 16 bits")
         if self.seed < 0:

@@ -540,6 +540,9 @@ INDEX_DAMAGE = {
                     True),
     "pools-range": ("pool rows", lambda c: c.set(
         "sp.pools", c.u, c.a("sp.pools")[c.u] + 288 - c.a("sp.pools")[c.u].max()), True),
+    # Each entry 2**16 past a valid row, which would read back as that row in uint16.
+    "pools-wrap": ("pool rows", lambda c: c.set("sp.pools", c.u, c.a("sp.pools")[c.u] + 2**16),
+                   True),
     "permanences-shape": ("permanences must be float64 of shape",
                           lambda c: c.put("sp.permanences", c.a("sp.permanences")[:, :-1]), False),
     "duty-cycles-shape": ("duty cycles must be float64 of shape",
