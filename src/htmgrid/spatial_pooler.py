@@ -159,33 +159,35 @@ class SpatialPooler:
                             f"sp {name.replace('_', ' ')} must lie in [0, 1]")
             check_units(self.step_counts < 0, "sp step count must be non-negative")
         # Entry (i, bit, column) is 1 where cell i's column has a connected synapse on bit.
-        # Pools are widened before the product, which their own dtype could wrap.
+        # Pools are widened before the product, which their own dtype could wrap.  The
+        # entries are scattered as bool, which numpy writes faster than a bool-to-uint16
+        # cast, and widened to 16-bit lanes in one pass.
         lanes = -(-p.column_count // _WORD_LANES) * _WORD_LANES  # 16-bit lanes per bit
-        self.connected = np.zeros((len(params), p.input_width, lanes), dtype=np.uint16)
+        connected = np.zeros((len(params), p.input_width, lanes), dtype=bool)
         columns = np.arange(p.column_count)[:, None]
-        for mask, pools, perm in zip(self.connected, self.pools, self.permanences):
+        for mask, pools, perm in zip(connected, self.pools, self.permanences):
             mask.reshape(-1)[columns + lanes * pools.astype(np.intp)] = (
                 perm >= p.connected_threshold)
+        self.connected = connected.astype(np.uint16)
 
     def overlaps(self, bits: np.ndarray) -> np.ndarray:
         """Each cell's connected synapses on active bits, as int32 ``(cells, column_count)``.
 
-        ``bits`` is as ``compute`` takes it.  A running sum of the mask rows of
-        every active bit, read at the cells' bounds.  Its uint64 words hold four
-        16-bit lanes each; carries between lanes in the sum cancel in the
-        difference, since no cell's lane can carry while its column pools fewer
-        than 2**16 bits.
+        ``bits`` is as ``compute`` takes it.  Each cell sums the mask rows of its
+        active bits as uint64 words of four 16-bit lanes, which cannot carry
+        while a column pools fewer than 2**16 bits.
         """
         p = self.params[0]
         check_bits(bits, (len(self.params), p.input_width), "sp input")
         words = self.connected.reshape(-1, self.connected.shape[2]).view(np.uint64)
         active_bits = np.flatnonzero(bits)
-        sums = np.zeros((len(active_bits) + 1, words.shape[1]), dtype=np.uint64)
-        sums[1:] = words[active_bits]
-        np.cumsum(sums, axis=0, out=sums)
-        bounds = np.concatenate(([0], np.count_nonzero(bits, axis=1).cumsum()))
-        lane_sums = np.diff(sums[bounds], axis=0).view(np.uint16)
-        return lane_sums[:, : p.column_count].astype(np.int32)
+        counts = np.count_nonzero(bits, axis=1)
+        # A zero row after the last active bit's, so every cell's first row exists.
+        rows = np.zeros((len(active_bits) + 1, words.shape[1]), dtype=np.uint64)
+        rows[:-1] = words[active_bits]
+        sums = np.add.reduceat(rows, np.concatenate(([0], counts[:-1].cumsum())), axis=0)
+        sums[counts == 0] = 0  # reduceat gives a cell with no active bit the next row
+        return sums.view(np.uint16)[:, : p.column_count].astype(np.int32)
 
     def compute(self, bits: np.ndarray, learn: bool) -> np.ndarray:
         """Pool a bool array of ``(cells, input_width)``; others raise ``ContractError``.

@@ -64,8 +64,8 @@ def test_pools_of_65536_bits_are_refused():
 
 def test_full_lanes_sum_without_carries():
     # Every bit of a 65535-bit pool connects and is active, so a column's lane reads its
-    # largest value; the running sum over three cells carries out of each lane, and out
-    # of column 4's padded word, and the cells' differences must cancel every carry.
+    # largest value: one more row would carry into the next lane, or out of column 4's
+    # padded word.  The middle cell has no active bit and must read 0 between the two.
     width, columns = 65535, 5
     params = [make_params(input_width=width, column_count=columns, active_columns=columns,
                           potential_fraction=1.0, seed=s) for s in (1, 2, 3)]
