@@ -180,11 +180,10 @@ class SpatialPooler:
         p = self.params[0]
         check_bits(bits, (len(self.params), p.input_width), "sp input")
         words = self.connected.reshape(-1, self.connected.shape[2]).view(np.uint64)
-        active_bits = np.flatnonzero(bits)
         counts = np.count_nonzero(bits, axis=1)
-        # A zero row after the last active bit's, so every cell's first row exists.
-        rows = np.zeros((len(active_bits) + 1, words.shape[1]), dtype=np.uint64)
-        rows[:-1] = words[active_bits]
+        # One more row, zeroed, after the last active bit's, so every cell's first row exists.
+        rows = words[np.append(np.flatnonzero(bits), 0)]
+        rows[-1] = 0
         sums = np.add.reduceat(rows, np.concatenate(([0], counts[:-1].cumsum())), axis=0)
         sums[counts == 0] = 0  # reduceat gives a cell with no active bit the next row
         return sums.view(np.uint16)[:, : p.column_count].astype(np.int32)
