@@ -32,7 +32,7 @@ from .errors import (MAX_COUNT, ContractError, Validated, check_bits, check_unit
 __all__ = ["SpParams", "SpatialPooler"]
 
 _DUTY_WINDOW = 1000  # duty cycle averaging horizon when boosting is enabled
-_WORD_LANES = 4  # 16-bit overlap lanes in each uint64 word of the running sum
+_WORD_LANES = 4  # 16-bit overlap lanes in each uint64 word that an overlap sum adds
 
 
 @dataclass(frozen=True)
